@@ -16,6 +16,7 @@ error, 4 numerical failure.
 import argparse
 import copy
 import json
+import math
 import os
 import shutil
 import sys
@@ -36,7 +37,14 @@ from .errors import (
 from .lagged_design import lag_range_to_samples
 from .lda_reduce import fit_lda, separation_report, transform, write_lda
 from .preprocess import SegmentSet, impulse_align, segment, zscore_channels, zscore_features
-from .ridge_trf import cross_validate, fit_trf, make_lambda_grid, read_trf, write_trf
+from .ridge_trf import (
+    IterativeOptions,
+    cross_validate,
+    fit_trf,
+    make_lambda_grid,
+    read_trf,
+    write_trf,
+)
 from .stats_eval import evaluate_subject, group_report, topo_report, write_topo_csv
 from .synthgen import SynthSpec, circle_layout, gen_kernel, gen_response, gen_words
 from .tensorio import (
@@ -105,15 +113,82 @@ class PipelineConfig:
     grid_n: int
     folds: int
     solver: str
-    lr: float
-    batch_size: int
-    tol: float
-    max_epochs: int
+    iterative: IterativeOptions
     lda_enabled: bool
     lda_components: int
     test_fraction: float
     seed: int
     synth: dict
+
+
+def _finite_float(value):
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+# One checker per kind: it returns the value the pipeline uses, or None when
+# the JSON value has the wrong type. Booleans are not numbers here.
+_KINDS = {
+    "int": ("an integer", lambda v: v if type(v) is int else None),
+    "float": ("a finite number", _finite_float),
+    "str": ("a string", lambda v: v if type(v) is str else None),
+    "bool": ("a boolean", lambda v: v if type(v) is bool else None),
+    "str list": (
+        "a list of strings",
+        lambda v: v if type(v) is list and all(type(s) is str for s in v) else None,
+    ),
+}
+
+# Range rules, keyed by the text that error messages show.
+_RULES = {
+    "": lambda v: True,
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "that is not empty": lambda v: v != "",
+    "with no empty entry": lambda v: all(v),
+    "in {closed_form, iterative}": lambda v: v in ("closed_form", "iterative"),
+}
+
+# One row per leaf of DEFAULT_CONFIG: dotted key, kind, range rule.
+_SCHEMA = [
+    ("paths.eeg", "str list", "with no empty entry"),
+    ("paths.word_events", "str", ""),
+    ("paths.layout", "str", ""),
+    ("paths.output", "str", "that is not empty"),
+    ("lags.tmin_s", "float", ""),
+    ("lags.tmax_s", "float", ""),
+    ("window_s", "float", "> 0"),
+    ("overlap", "float", "in [0, 1)"),
+    ("lambda_grid.lo", "float", "> 0"),
+    ("lambda_grid.hi", "float", ""),
+    ("lambda_grid.n", "int", ">= 2"),
+    ("folds", "int", ">= 2"),
+    ("solver", "str", "in {closed_form, iterative}"),
+    ("iterative.lr", "float", "> 0"),
+    ("iterative.batch_size", "int", ">= 1"),
+    ("iterative.tol", "float", ">= 0"),
+    ("iterative.max_epochs", "int", ">= 1"),
+    ("lda.enabled", "bool", ""),
+    ("lda.n_components", "int", ">= 1"),
+    ("test_fraction", "float", "in (0, 1)"),
+    ("seed", "int", ">= 0"),
+    ("synth.fs_hz", "float", "> 0"),
+    ("synth.duration_s", "float", "> 0"),
+    ("synth.n_channels", "int", ">= 1"),
+    ("synth.n_features", "int", ">= 1"),
+    ("synth.word_rate_hz", "float", "> 0"),
+    ("synth.snr", "float", "> 0"),
+    ("synth.n_subjects", "int", ">= 1"),
+]
 
 
 def _merge(base: dict, override: dict, trail: str = "") -> dict:
@@ -148,12 +223,28 @@ def _apply_set(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings may be given unquoted
-    node[leaf] = value
+    node[leaf] = _merge(node, {leaf: value}, ".".join(keys[:-1]))[leaf]
 
 
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
+def _validate(cfg: dict) -> None:
+    """Check every leaf against _SCHEMA, storing the converted values in place."""
+    for dotted, kind, rule in _SCHEMA:
+        *sections, leaf = dotted.split(".")
+        node = cfg
+        for key in sections:
+            node = node[key]
+        kind_text, convert = _KINDS[kind]
+        value = convert(node[leaf])
+        if value is None or not _RULES[rule](value):
+            raise ConfigError(
+                f"config key {dotted!r} must be {kind_text} {rule}".rstrip()
+                + f", got {json.dumps(node[leaf])}"
+            )
+        node[leaf] = value
+    if not cfg["lags"]["tmin_s"] < cfg["lags"]["tmax_s"]:
+        raise ConfigError("config key 'lags.tmin_s' must be below lags.tmax_s")
+    if not cfg["lambda_grid"]["lo"] < cfg["lambda_grid"]["hi"]:
+        raise ConfigError("config key 'lambda_grid.lo' must be below lambda_grid.hi")
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -189,115 +280,31 @@ def load_config(
         _apply_set(cfg, assignment)
     if seed is not None:
         cfg["seed"] = seed
-    if output is not None:
-        cfg["paths"]["output"] = None  # replaced below, resolved against cwd
+    _validate(cfg)
 
     base = config_path.parent
-
-    paths = cfg["paths"]
-    _expect(isinstance(paths["eeg"], list), "paths.eeg must be a list of file paths")
-    _expect(
-        all(isinstance(p, str) and p for p in paths["eeg"]),
-        "paths.eeg entries must be non-empty strings",
-    )
-    eeg_paths = [_resolve(base, p) for p in paths["eeg"]]
-    word_events = _resolve(base, paths["word_events"]) if paths["word_events"] else None
-    layout = _resolve(base, paths["layout"]) if paths["layout"] else None
-    if output is not None:
-        out_path = Path(output)
-    else:
-        _expect(
-            isinstance(paths["output"], str) and paths["output"],
-            "paths.output must be a non-empty string",
-        )
-        out_path = _resolve(base, paths["output"])
-
-    lags = cfg["lags"]
-    _expect(
-        isinstance(lags["tmin_s"], (int, float)) and isinstance(lags["tmax_s"], (int, float)),
-        "lags.tmin_s and lags.tmax_s must be numbers",
-    )
-    _expect(lags["tmin_s"] < lags["tmax_s"], "lags.tmin_s must be below lags.tmax_s")
-    _expect(
-        isinstance(cfg["window_s"], (int, float)) and cfg["window_s"] > 0,
-        "window_s must be positive",
-    )
-    _expect(
-        isinstance(cfg["overlap"], (int, float)) and 0.0 <= cfg["overlap"] < 1.0,
-        "overlap must lie in [0, 1)",
-    )
-
-    grid = cfg["lambda_grid"]
-    _expect(
-        isinstance(grid["lo"], (int, float)) and isinstance(grid["hi"], (int, float)),
-        "lambda_grid.lo and lambda_grid.hi must be numbers",
-    )
-    _expect(0 < grid["lo"] < grid["hi"], "lambda_grid needs 0 < lo < hi")
-    _expect(
-        isinstance(grid["n"], int) and not isinstance(grid["n"], bool) and grid["n"] >= 2,
-        "lambda_grid.n must be an integer >= 2",
-    )
-    _expect(
-        isinstance(cfg["folds"], int) and not isinstance(cfg["folds"], bool) and cfg["folds"] >= 2,
-        "folds must be an integer >= 2",
-    )
-    _expect(cfg["solver"] in ("closed_form", "iterative"), "solver must be closed_form or iterative")
-
-    it = cfg["iterative"]
-    _expect(isinstance(it["lr"], (int, float)) and it["lr"] > 0, "iterative.lr must be positive")
-    _expect(
-        isinstance(it["batch_size"], int) and it["batch_size"] >= 1,
-        "iterative.batch_size must be an integer >= 1",
-    )
-    _expect(isinstance(it["tol"], (int, float)) and it["tol"] >= 0, "iterative.tol must be >= 0")
-    _expect(
-        isinstance(it["max_epochs"], int) and it["max_epochs"] >= 1,
-        "iterative.max_epochs must be an integer >= 1",
-    )
-
-    lda = cfg["lda"]
-    _expect(isinstance(lda["enabled"], bool), "lda.enabled must be a boolean")
-    _expect(
-        isinstance(lda["n_components"], int) and lda["n_components"] >= 1,
-        "lda.n_components must be an integer >= 1",
-    )
-    _expect(
-        isinstance(cfg["test_fraction"], (int, float)) and 0.0 < cfg["test_fraction"] < 1.0,
-        "test_fraction must lie in (0, 1)",
-    )
-    _expect(
-        isinstance(cfg["seed"], int) and not isinstance(cfg["seed"], bool),
-        "seed must be an integer",
-    )
-    synth = cfg["synth"]
-    _expect(
-        isinstance(synth["n_subjects"], int) and synth["n_subjects"] >= 1,
-        "synth.n_subjects must be an integer >= 1",
-    )
-
+    paths, lags, grid, lda = cfg["paths"], cfg["lags"], cfg["lambda_grid"], cfg["lda"]
     return PipelineConfig(
-        eeg_paths=eeg_paths,
-        word_events=word_events,
-        layout=layout,
-        output=out_path,
-        tmin_s=float(lags["tmin_s"]),
-        tmax_s=float(lags["tmax_s"]),
-        window_s=float(cfg["window_s"]),
-        overlap=float(cfg["overlap"]),
-        grid_lo=float(grid["lo"]),
-        grid_hi=float(grid["hi"]),
-        grid_n=int(grid["n"]),
-        folds=int(cfg["folds"]),
-        solver=str(cfg["solver"]),
-        lr=float(it["lr"]),
-        batch_size=int(it["batch_size"]),
-        tol=float(it["tol"]),
-        max_epochs=int(it["max_epochs"]),
-        lda_enabled=bool(lda["enabled"]),
-        lda_components=int(lda["n_components"]),
-        test_fraction=float(cfg["test_fraction"]),
-        seed=int(cfg["seed"]),
-        synth=dict(synth),
+        eeg_paths=[_resolve(base, p) for p in paths["eeg"]],
+        word_events=_resolve(base, paths["word_events"]) if paths["word_events"] else None,
+        layout=_resolve(base, paths["layout"]) if paths["layout"] else None,
+        # --output resolves against the working directory, not the config's
+        output=Path(output) if output is not None else _resolve(base, paths["output"]),
+        tmin_s=lags["tmin_s"],
+        tmax_s=lags["tmax_s"],
+        window_s=cfg["window_s"],
+        overlap=cfg["overlap"],
+        grid_lo=grid["lo"],
+        grid_hi=grid["hi"],
+        grid_n=grid["n"],
+        folds=cfg["folds"],
+        solver=cfg["solver"],
+        iterative=IterativeOptions(**cfg["iterative"], seed=cfg["seed"]),
+        lda_enabled=lda["enabled"],
+        lda_components=lda["n_components"],
+        test_fraction=cfg["test_fraction"],
+        seed=cfg["seed"],
+        synth=cfg["synth"],
     )
 
 
@@ -341,19 +348,9 @@ def _log(message: str) -> None:
 
 def cmd_synth(cfg: PipelineConfig) -> None:
     """Generate synthetic subjects sharing one word stream."""
-    synth = cfg.synth
-    base_spec = SynthSpec(
-        fs_hz=float(synth["fs_hz"]),
-        duration_s=float(synth["duration_s"]),
-        n_channels=int(synth["n_channels"]),
-        n_features=int(synth["n_features"]),
-        tmin_s=cfg.tmin_s,
-        tmax_s=cfg.tmax_s,
-        word_rate_hz=float(synth["word_rate_hz"]),
-        snr=float(synth["snr"]),
-        seed=cfg.seed,
-    )
-    n_subjects = int(synth["n_subjects"])
+    spec_fields = dict(cfg.synth)
+    n_subjects = spec_fields.pop("n_subjects")
+    base_spec = SynthSpec(**spec_fields, tmin_s=cfg.tmin_s, tmax_s=cfg.tmax_s, seed=cfg.seed)
     words = gen_words(base_spec)
     layout = circle_layout(base_spec.channel_names())
 
@@ -390,29 +387,8 @@ def _fit_one(rec, words, cfg: PipelineConfig):
         )
     spec = lag_range_to_samples(cfg.tmin_s, cfg.tmax_s, rec.fs_hz)
     grid = make_lambda_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_n)
-    report = cross_validate(
-        train,
-        spec,
-        grid,
-        cfg.folds,
-        seed=cfg.seed,
-        solver=cfg.solver,
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        tol=cfg.tol,
-    )
-    model = fit_trf(
-        train,
-        spec,
-        report.best_lambda,
-        solver=cfg.solver,
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        tol=cfg.tol,
-        seed=cfg.seed,
-    )
+    report = cross_validate(train, spec, grid, cfg.folds, solver=cfg.solver, iterative=cfg.iterative)
+    model = fit_trf(train, spec, report.best_lambda, solver=cfg.solver, iterative=cfg.iterative)
     return model, report, len(train), len(test)
 
 

@@ -12,7 +12,7 @@ channels on the held-out fold, concatenated over its segments. Ties
 resolve toward the stronger penalty.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +34,7 @@ __all__ = [
     "TrfModel",
     "CvReport",
     "IterativeFit",
+    "IterativeOptions",
     "make_lambda_grid",
     "ridge_closed_form",
     "fit_iterative",
@@ -99,6 +100,17 @@ class IterativeFit:
     stop_reason: str  # "tol" or "max_epochs"
     epochs: int
     objective: float
+
+
+@dataclass(frozen=True)
+class IterativeOptions:
+    """Settings of the gradient-descent solver, named as fit_iterative takes them."""
+
+    lr: float = 1e-4
+    batch_size: int = 64
+    tol: float = 1e-8
+    max_epochs: int = 1000
+    seed: int = 0
 
 
 def make_lambda_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -290,12 +302,8 @@ def cross_validate(
     spec: LagSpec,
     grid,
     k: int,
-    seed: int = 0,
     solver: str = "closed_form",
-    lr: float = 1e-4,
-    batch_size: int = 64,
-    max_epochs: int = 1000,
-    tol: float = 1e-8,
+    iterative: IterativeOptions = IterativeOptions(),
 ) -> CvReport:
     """Grid-search the ridge penalty with k contiguous temporal folds.
 
@@ -310,11 +318,11 @@ def cross_validate(
         Candidate penalties. Scores are reported per (penalty, fold).
     k : int
         Fold count, at least 2 and at most the number of segments.
-    seed : int
-        Forwarded to the iterative solver's shuffling. The fold layout is
-        deterministic regardless.
     solver : str
         "closed_form" or "iterative".
+    iterative : IterativeOptions
+        Settings of the iterative solver, including its shuffling seed.
+        The fold layout is deterministic regardless.
 
     Returns
     -------
@@ -368,16 +376,7 @@ def cross_validate(
             X_train, Y_train = _stack_segments(segments, train_idx, spec)
             X_val, Y_val = _stack_segments(segments, idx, spec)
             for gi, lam in enumerate(grid):
-                fit = fit_iterative(
-                    X_train,
-                    Y_train,
-                    lam,
-                    lr=lr,
-                    batch_size=batch_size,
-                    max_epochs=max_epochs,
-                    tol=tol,
-                    seed=seed,
-                )
+                fit = fit_iterative(X_train, Y_train, lam, **asdict(iterative))
                 scores[gi, fi] = mean_channel_r(X_val @ fit.weights, Y_val)
 
     if not np.all(np.isfinite(scores)):
@@ -396,11 +395,7 @@ def fit_trf(
     spec: LagSpec,
     lam: float,
     solver: str = "closed_form",
-    lr: float = 1e-4,
-    batch_size: int = 64,
-    max_epochs: int = 1000,
-    tol: float = 1e-8,
-    seed: int = 0,
+    iterative: IterativeOptions = IterativeOptions(),
 ) -> TrfModel:
     """Fit one kernel on every segment in the set at a fixed penalty."""
     if len(segments) == 0:
@@ -413,9 +408,7 @@ def fit_trf(
     if solver == "closed_form":
         W = ridge_closed_form(X, Y, lam)
     elif solver == "iterative":
-        W = fit_iterative(
-            X, Y, lam, lr=lr, batch_size=batch_size, max_epochs=max_epochs, tol=tol, seed=seed
-        ).weights
+        W = fit_iterative(X, Y, lam, **asdict(iterative)).weights
     else:
         raise PreconditionError(f"unknown solver {solver!r}")
     return reshape_trf(W, spec, segments.channel_names, segments.n_features, lam=lam)

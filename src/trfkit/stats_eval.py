@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .errors import DegenerateDataError, PreconditionError, ValidationError
-from .lagged_design import LagSpec, build_lagged_matrix
-from .preprocess import FeatureSeries, SegmentSet
-from .ridge_trf import TrfModel, flatten_trf
+from .errors import DegenerateDataError, NumericalError, PreconditionError, ValidationError
+from .lagged_design import LagSpec
+from .preprocess import SegmentSet
+from .ridge_trf import TrfModel, _stack_segments, flatten_trf
 from .tensorio import ChannelLayout
 
 __all__ = [
@@ -99,7 +99,10 @@ class TopoRow:
 
 
 def pearson_r(x, y) -> float:
-    """Sample Pearson correlation of two equal-length series."""
+    """Sample Pearson correlation of two equal-length series.
+
+    Non-finite input that makes r non-finite raises NumericalError.
+    """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
@@ -113,6 +116,8 @@ def pearson_r(x, y) -> float:
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("correlation is undefined for a constant series")
     r = float(xc @ yc) / float(np.sqrt(sxx * syy))
+    if not np.isfinite(r):
+        raise NumericalError(f"correlation is not finite (r = {r}); the series hold non-finite values")
     return float(min(1.0, max(-1.0, r)))
 
 
@@ -186,14 +191,8 @@ def evaluate_subject(
             f"segments carry {test_segments.n_features} features, "
             f"kernel expects {trf.n_features}"
         )
-    W = flatten_trf(trf)
-    preds, targets = [], []
-    for seg in test_segments.segments:
-        design = build_lagged_matrix(FeatureSeries(data=seg.x, fs_hz=test_segments.fs_hz), spec)
-        preds.append(design.data @ W)
-        targets.append(seg.y)
-    pred = np.concatenate(preds, axis=0)
-    target = np.concatenate(targets, axis=0)
+    X, target = _stack_segments(test_segments, range(len(test_segments)), spec)
+    pred = X @ flatten_trf(trf)
     n = pred.shape[0]
     channels = []
     for e, name in enumerate(trf.channel_names):

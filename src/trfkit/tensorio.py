@@ -44,7 +44,6 @@ __all__ = [
     "write_word_events",
     "read_channel_layout",
     "write_channel_layout",
-    "read_json",
     "write_json",
 ]
 
@@ -58,6 +57,12 @@ _HEADER_LIMIT = 1 << 20
 
 # ---------------------------------------------------------------------------
 # container types
+
+
+def _first_nonfinite(values: np.ndarray) -> tuple | None:
+    """Index of the first non-finite entry, or None when every entry is finite."""
+    bad = np.argwhere(~np.isfinite(values))
+    return tuple(int(i) for i in bad[0]) if bad.size else None
 
 
 @dataclass
@@ -96,6 +101,13 @@ class EegRecording:
             )
         if len(set(self.channel_names)) != len(self.channel_names):
             raise ValidationError("channel names must be unique")
+        bad = _first_nonfinite(self.data)
+        if bad is not None:
+            ch, sample = bad
+            raise ValidationError(
+                f"channel {self.channel_names[ch]!r}: non-finite value "
+                f"{self.data[ch, sample]} at sample {sample}"
+            )
 
     @property
     def n_channels(self) -> int:
@@ -124,6 +136,10 @@ class WordEventSequence:
     dim: int
 
     def __post_init__(self):
+        bad = _first_nonfinite(self.onsets())
+        if bad is not None:
+            ev = self.events[bad[0]]
+            raise ValidationError(f"event {bad[0]} ({ev.token!r}): non-finite onset {ev.onset_s}")
         prev = -np.inf
         for k, ev in enumerate(self.events):
             if ev.onset_s < 0:
@@ -139,6 +155,13 @@ class WordEventSequence:
                     f"event {k} ({ev.token!r}): vector has shape {vec.shape}, expected ({self.dim},)"
                 )
             ev.vector = vec
+        bad = _first_nonfinite(self.vectors())
+        if bad is not None:
+            k, d = bad
+            ev = self.events[k]
+            raise ValidationError(
+                f"event {k} ({ev.token!r}): non-finite value {ev.vector[d]} in vector entry {d}"
+            )
 
     def __len__(self) -> int:
         return len(self.events)
@@ -331,8 +354,7 @@ def write_word_events(path, seq: WordEventSequence) -> None:
 
 def read_word_events(path) -> WordEventSequence:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
+        lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -420,12 +442,3 @@ def write_json(path, obj) -> None:
     text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: malformed JSON at offset {e.pos}: {e.msg}") from None

@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trfkit.cli import DEFAULT_CONFIG, load_config, main, split_segments
 from trfkit.errors import ConfigError, PreconditionError
@@ -105,10 +109,64 @@ def test_invalid_values_rejected(tmp_path):
         {"solver": "magic"},
         {"test_fraction": 0.0},
         {"lags.tmin_s": 2.0},
+        {"paths.word_events": 5},
+        {"synth.fs_hz": "abc"},
+        {"synth.snr": None},
+        {"lags.tmax_s": math.inf},
+        {"synth.n_channels": 4.7},
+        {"iterative.batch_size": True},
+        {"lda.n_components": True},
+        {"synth.n_subjects": True},
     ):
         path = _write_config(tmp_path, overrides)
-        with pytest.raises(ConfigError):
+        (key,) = overrides
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
             load_config(path)
+
+
+def test_infinite_override_exits_2_without_traceback(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config), "--set", "lags.tmax_s=Infinity") == 2
+    err = capsys.readouterr().err
+    assert "'lags.tmax_s'" in err
+    assert "Traceback" not in err
+
+
+def _leaves(node, trail=""):
+    for key, value in node.items():
+        dotted = f"{trail}.{key}" if trail else key
+        if isinstance(value, dict):
+            yield from _leaves(value, dotted)
+        else:
+            yield dotted, value
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+_JSON_VALUES = {
+    "bool": st.booleans(),
+    "number": st.integers() | st.floats(),
+    "str": st.text(max_size=5),
+    "list": st.lists(st.integers() | st.text(max_size=3), max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_leaves(DEFAULT_CONFIG))), st.data())
+def test_leaf_of_another_json_type_is_rejected_by_name(tmp_path, leaf, data):
+    dotted, default = leaf
+    other = data.draw(st.sampled_from([t for t in _JSON_VALUES if t != _json_type(default)]))
+    value = data.draw(_JSON_VALUES[other])
+    path = _write_config(tmp_path)  # the same file every example
+    with pytest.raises(ConfigError, match=re.escape(repr(dotted))):
+        load_config(path, sets=[f"{dotted}={json.dumps(value)}"])
 
 
 def test_malformed_json_names_offset(tmp_path):

@@ -11,6 +11,7 @@ from trfkit.lagged_design import LagSpec, build_lagged_matrix
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
 from trfkit.ridge_trf import (
     CvReport,
+    IterativeOptions,
     TrfModel,
     cross_validate,
     fit_iterative,
@@ -321,7 +322,7 @@ def test_cv_solvers_pick_comparable_scores():
     closed = cross_validate(segs, spec, grid, k=3, solver="closed_form")
     iterative = cross_validate(
         segs, spec, grid, k=3, solver="iterative",
-        lr=1e-4, batch_size=64, tol=1e-8, max_epochs=20_000, seed=0,
+        iterative=IterativeOptions(lr=1e-4, batch_size=64, tol=1e-8, max_epochs=20_000, seed=0),
     )
     assert np.allclose(closed.per_lambda_scores,
                        iterative.per_lambda_scores, atol=1e-2)

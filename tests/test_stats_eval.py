@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trfkit.errors import DegenerateDataError, PreconditionError, ValidationError
+from trfkit.errors import DegenerateDataError, NumericalError, PreconditionError, ValidationError
 from trfkit.lagged_design import LagSpec, build_lagged_matrix
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
 from trfkit.ridge_trf import TrfModel
@@ -41,6 +41,11 @@ def test_pearson_perfect_correlation_is_exactly_one():
 def test_pearson_constant_series_rejected():
     with pytest.raises(DegenerateDataError):
         pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def test_pearson_non_finite_input_raises():
+    with pytest.raises(NumericalError):
+        pearson_r([np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 5.0])
 
 
 def test_pearson_needs_three_samples():

@@ -133,6 +133,20 @@ def test_eeg_roundtrip(tmp_path):
     assert back.subject_id == "s01"
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_eeg_non_finite_sample_rejected_and_named(data):
+    n_channels = data.draw(st.integers(min_value=1, max_value=5))
+    n_samples = data.draw(st.integers(min_value=1, max_value=50))
+    ch = data.draw(st.integers(min_value=0, max_value=n_channels - 1))
+    sample = data.draw(st.integers(min_value=0, max_value=n_samples - 1))
+    values = np.zeros((n_channels, n_samples))
+    values[ch, sample] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    names = [f"ch{i}" for i in range(n_channels)]
+    with pytest.raises(ValidationError, match=rf"'ch{ch}'.* at sample {sample}$"):
+        EegRecording(data=values, fs_hz=100.0, channel_names=names, subject_id="s")
+
+
 def test_eeg_missing_meta_key_names_it(tmp_path):
     path = tmp_path / "eeg.btsr"
     write_tensor(path, "f64", [1, 2], {"channel_names": ["a"], "subject_id": "x"}, np.zeros(2))
@@ -202,6 +216,19 @@ def test_word_events_decreasing_onsets_rejected(tmp_path):
         "token\tonset_s\tpos\tv0\n" "a\t0.5\t\t1.0\n" "b\t0.4\t\t2.0\n",
     )
     with pytest.raises(ValidationError, match="decreases"):
+        read_word_events(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b\tnan\t\t2.0", "event 1 .*non-finite onset"),
+        ("b\t0.6\t\tinf", "event 1 .*non-finite value inf in vector entry 0"),
+    ],
+)
+def test_word_events_non_finite_values_rejected(tmp_path, row, message):
+    path = _events_tsv(tmp_path, "token\tonset_s\tpos\tv0\n" "a\t0.5\t\t1.0\n" + row + "\n")
+    with pytest.raises(ValidationError, match=message):
         read_word_events(path)
 
 
