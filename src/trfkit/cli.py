@@ -48,9 +48,9 @@ from .ridge_trf import (
 from .stats_eval import evaluate_subject, group_report, topo_report, write_topo_csv
 from .synthgen import SynthSpec, circle_layout, gen_kernel, gen_response, gen_words
 from .tensorio import (
-    WordEventSequence,
     read_channel_layout,
     read_eeg,
+    read_json,
     read_tensor_header,
     read_word_events,
     write_channel_layout,
@@ -377,6 +377,43 @@ def _prepare_segments(rec, words, cfg: PipelineConfig) -> SegmentSet:
     return segment(aligned, rec_z, cfg.window_s, cfg.overlap)
 
 
+def _heldout_record(cfg: PipelineConfig, test: SegmentSet) -> dict:
+    """What fit held out, and the settings that decide it, as `<sid>_cv.json` stores it."""
+    return {
+        "window_s": cfg.window_s,
+        "overlap": cfg.overlap,
+        "lags": {"tmin_s": cfg.tmin_s, "tmax_s": cfg.tmax_s},
+        "segment_starts": [seg.start for seg in test.segments],
+    }
+
+
+def _describe_starts(starts) -> str:
+    if isinstance(starts, list) and starts:
+        return f"{len(starts)} segments from sample {starts[0]}"
+    return "no segments"
+
+
+def _check_heldout(sid: str, cv_doc, now: dict) -> None:
+    """Refuse to evaluate anything but the segments fit held out."""
+    fitted = cv_doc.get("heldout") if isinstance(cv_doc, dict) else None
+    if not isinstance(fitted, dict):
+        raise ValidationError(
+            f"subject {sid!r}: the fit record has no held-out segments; run fit again"
+        )
+    for key in ("window_s", "overlap", "lags"):
+        if fitted.get(key) != now[key]:
+            raise ValidationError(
+                f"subject {sid!r}: config {key} is {json.dumps(now[key])} but the kernel "
+                f"was fitted with {json.dumps(fitted.get(key))}"
+            )
+    if fitted.get("segment_starts") != now["segment_starts"]:
+        raise ValidationError(
+            f"subject {sid!r}: this config holds out {_describe_starts(now['segment_starts'])} "
+            f"but fit held out {_describe_starts(fitted.get('segment_starts'))}; evaluate "
+            f"scores only what fit held out (check test_fraction)"
+        )
+
+
 def _fit_one(rec, words, cfg: PipelineConfig):
     segs = _prepare_segments(rec, words, cfg)
     train, test = split_segments(segs, cfg.test_fraction)
@@ -389,7 +426,7 @@ def _fit_one(rec, words, cfg: PipelineConfig):
     grid = make_lambda_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_n)
     report = cross_validate(train, spec, grid, cfg.folds, solver=cfg.solver, iterative=cfg.iterative)
     model = fit_trf(train, spec, report.best_lambda, solver=cfg.solver, iterative=cfg.iterative)
-    return model, report, len(train), len(test)
+    return model, report, len(train), test
 
 
 def _read_subjects(cfg: PipelineConfig):
@@ -419,8 +456,9 @@ def cmd_fit(cfg: PipelineConfig, workers: int = 1) -> None:
     recs, words = _read_subjects(cfg)
     results = _map_subjects(lambda rec: _fit_one(rec, words, cfg), recs, workers)
     writers = []
-    for rec, (model, report, n_train, n_test) in zip(recs, results):
+    for rec, (model, report, n_train, test) in zip(recs, results):
         sid = rec.subject_id
+        n_test = len(test)
         cv_doc = {
             "subject_id": sid,
             "grid": report.grid,
@@ -430,6 +468,7 @@ def cmd_fit(cfg: PipelineConfig, workers: int = 1) -> None:
             "n_train_segments": n_train,
             "n_test_segments": n_test,
             "solver": cfg.solver,
+            "heldout": _heldout_record(cfg, test),
         }
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))
@@ -444,22 +483,24 @@ def cmd_evaluate(cfg: PipelineConfig, workers: int = 1) -> None:
         raise ConfigError("paths.layout is not set")
     layout = read_channel_layout(cfg.layout)
     recs, words = _read_subjects(cfg)
-    models = []
+    fits = []
     for rec in recs:
-        path = cfg.output / f"{rec.subject_id}_trf.btsr"
-        if not path.exists():
-            raise ValidationError(
-                f"no fitted kernel for subject {rec.subject_id!r} (expected {path})"
-            )
-        models.append(read_trf(path))
+        paths = [cfg.output / f"{rec.subject_id}_{kind}" for kind in ("trf.btsr", "cv.json")]
+        for path in paths:
+            if not path.exists():
+                raise ValidationError(
+                    f"no fit output for subject {rec.subject_id!r} (expected {path})"
+                )
+        fits.append((read_trf(paths[0]), read_json(paths[1])))
 
     def evaluate_one(pair):
-        rec, model = pair
+        rec, (model, cv_doc) = pair
         segs = _prepare_segments(rec, words, cfg)
         _, test = split_segments(segs, cfg.test_fraction)
+        _check_heldout(rec.subject_id, cv_doc, _heldout_record(cfg, test))
         return evaluate_subject(model, test, model.lag_spec, subject_id=rec.subject_id)
 
-    reports = _map_subjects(evaluate_one, list(zip(recs, models)), workers)
+    reports = _map_subjects(evaluate_one, list(zip(recs, fits)), workers)
     group = group_report(reports)
     writers = []
     for report in reports:
@@ -488,20 +529,15 @@ def cmd_lda(cfg: PipelineConfig) -> None:
         more = "" if len(untagged) <= 10 else f" and {len(untagged) - 10} more"
         raise ValidationError(f"word events without a POS tag: {shown}{more}")
     labels = [ev.pos_tag for ev in words.events]
-    model = fit_lda(words.vectors(), labels, cfg.lda_components)
+    vectors = words.vectors()
+    model = fit_lda(vectors, labels, cfg.lda_components)
     if model.clamped:
         _log(
             f"lda: clamped from {model.requested_components} to "
             f"{model.n_components} components"
         )
-    reduced_mat = transform(model, words.vectors())
-    reduced = WordEventSequence(
-        events=[
-            replace(ev, vector=reduced_mat[k]) for k, ev in enumerate(words.events)
-        ],
-        dim=model.n_components,
-    )
-    scores = separation_report(model, words.vectors(), labels)
+    reduced = words.with_vectors(transform(model, vectors))
+    scores = separation_report(model, vectors, labels)
     doc = {
         "n_components": model.n_components,
         "requested_components": model.requested_components,

@@ -6,17 +6,28 @@ matrix holds feature i delayed by lag_samples[l]: entry [t, i*L + l] is
 x[t - lag_samples[l], i], with zeros where the shift runs off either end
 of the series. Columns are feature-major so each feature owns one
 contiguous block of L lag columns.
+
+Word-feature impulse trains are mostly zero, so their designs are too:
+build_lagged_csr builds the same matrix in CSR form from the non-zero
+samples alone, and the model fitting code works on that form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from ._util import round_half_up
 from .errors import PreconditionError
 from .preprocess import FeatureSeries
 
-__all__ = ["LagSpec", "DesignMatrix", "lag_range_to_samples", "build_lagged_matrix"]
+__all__ = [
+    "LagSpec",
+    "DesignMatrix",
+    "lag_range_to_samples",
+    "build_lagged_matrix",
+    "build_lagged_csr",
+]
 
 
 @dataclass
@@ -109,3 +120,29 @@ def build_lagged_matrix(x: FeatureSeries, spec: LagSpec) -> DesignMatrix:
         else:
             out[: T + lag, cols + li] = x.data[-lag:]
     return DesignMatrix(data=out, lag_spec=spec, n_features=D)
+
+
+def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> scipy.sparse.csr_array:
+    """The lagged design of build_lagged_matrix as a CSR array.
+
+    Built from the non-zero samples alone: sample x[t, i] lands at row
+    t + lag_samples[l], column i*L + l, for every lag that keeps the row
+    inside the series. The stored entries are exactly the non-zero
+    entries of the dense design, so `.toarray()` equals it.
+    """
+    if x.fs_hz != spec.fs_hz:
+        raise PreconditionError(
+            f"sampling rates differ: series {x.fs_hz} vs lag spec {spec.fs_hz}"
+        )
+    T, D = x.data.shape
+    L = spec.n_lags
+    t, i = np.nonzero(x.data)
+    rows = t[:, None] + np.asarray(spec.lag_samples)
+    cols = i[:, None] * L + np.arange(L)
+    vals = np.broadcast_to(x.data[t, i][:, None], rows.shape)
+    keep = (rows >= 0) & (rows < T)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=T), out=indptr[1:])
+    return scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(T, D * L))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial.distance
 
 from .errors import PreconditionError, ValidationError
 from .tensorio import read_tensor, write_tensor
@@ -179,6 +178,10 @@ def separation_report(model: LdaModel, vectors, labels) -> list[SeparationScore]
     each class and the distance from its centroid to the nearest other
     class centroid. Well-separated data has within << between.
     """
+    # imported on first use: at module level, scipy.spatial's import time
+    # would be paid by every CLI command, and only this function needs it
+    import scipy.spatial.distance
+
     vectors = np.asarray(vectors, dtype=np.float64)
     classes, members = _class_partition(vectors, labels)
     projected = transform(model, vectors)

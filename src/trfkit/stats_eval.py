@@ -13,12 +13,12 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .errors import DegenerateDataError, NumericalError, PreconditionError, ValidationError
 from .lagged_design import LagSpec
 from .preprocess import SegmentSet
-from .ridge_trf import TrfModel, _stack_segments, flatten_trf
+from .ridge_trf import TrfModel, _sparse_stack, flatten_trf
 from .tensorio import ChannelLayout
 
 __all__ = [
@@ -98,27 +98,47 @@ class TopoRow:
     p: float
 
 
+def _column_r(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson r of each column of a with the same column of b.
+
+    Each centred column is divided by its largest magnitude before any
+    product, so sums of squares neither overflow nor underflow whatever
+    the scale of the input. A constant column raises DegenerateDataError;
+    non-finite input that makes r non-finite raises NumericalError.
+    """
+    if a.shape[0] < 3:
+        raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")
+    ac = a - a.mean(axis=0)
+    bc = b - b.mean(axis=0)
+    a_scale = np.abs(ac).max(axis=0)
+    b_scale = np.abs(bc).max(axis=0)
+    if np.any(a_scale == 0.0) or np.any(b_scale == 0.0):
+        raise DegenerateDataError("correlation is undefined for a constant series")
+    ac /= a_scale
+    bc /= b_scale
+    sab = np.einsum("ij,ij->j", ac, bc)
+    saa = np.einsum("ij,ij->j", ac, ac)
+    sbb = np.einsum("ij,ij->j", bc, bc)
+    r = sab / np.sqrt(saa * sbb)
+    if not np.all(np.isfinite(r)):
+        raise NumericalError(
+            f"correlation is not finite (r = {r[~np.isfinite(r)][0]}); "
+            "the series hold non-finite values"
+        )
+    return np.clip(r, -1.0, 1.0)
+
+
 def pearson_r(x, y) -> float:
     """Sample Pearson correlation of two equal-length series.
 
-    Non-finite input that makes r non-finite raises NumericalError.
+    A constant series raises DegenerateDataError; non-finite input that
+    makes r non-finite raises NumericalError.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise PreconditionError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.size < 3:
-        raise PreconditionError(f"need at least 3 samples, got {x.size}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateDataError("correlation is undefined for a constant series")
-    r = float(xc @ yc) / float(np.sqrt(sxx * syy))
-    if not np.isfinite(r):
-        raise NumericalError(f"correlation is not finite (r = {r}); the series hold non-finite values")
-    return float(min(1.0, max(-1.0, r)))
+    return float(_column_r(x[:, None], y[:, None])[0])
 
 
 def r_to_p(r: float, n: int) -> float:
@@ -131,7 +151,7 @@ def r_to_p(r: float, n: int) -> float:
     if denom <= 0.0:
         return _TINY_P
     t = r * np.sqrt((n - 2) / denom)
-    p = 2.0 * float(scipy.stats.t.sf(abs(t), df=n - 2))
+    p = 2.0 * float(scipy.special.stdtr(n - 2, -abs(t)))
     return min(1.0, p) if p > 0.0 else _TINY_P
 
 
@@ -145,7 +165,7 @@ def fisher_combine(pvalues) -> tuple[float, int, float]:
             raise PreconditionError(f"p-values must lie in (0, 1], got {p}")
     stat = -2.0 * float(np.sum(np.log(pvalues)))
     df = 2 * len(pvalues)
-    p = float(scipy.stats.chi2.sf(stat, df))
+    p = float(scipy.special.chdtrc(df, stat))
     return stat, df, p if p > 0.0 else _TINY_P
 
 
@@ -157,7 +177,7 @@ def mean_channel_r(pred: np.ndarray, target: np.ndarray) -> float:
         raise PreconditionError(f"shape mismatch: {pred.shape} vs {target.shape}")
     if pred.ndim != 2:
         raise PreconditionError(f"expected 2-D arrays, got ndim={pred.ndim}")
-    return float(np.mean([pearson_r(pred[:, e], target[:, e]) for e in range(pred.shape[1])]))
+    return float(np.mean(_column_r(pred, target)))
 
 
 def evaluate_subject(
@@ -191,14 +211,15 @@ def evaluate_subject(
             f"segments carry {test_segments.n_features} features, "
             f"kernel expects {trf.n_features}"
         )
-    X, target = _stack_segments(test_segments, range(len(test_segments)), spec)
+    X, target = _sparse_stack(test_segments, range(len(test_segments)), spec)
     pred = X @ flatten_trf(trf)
     n = pred.shape[0]
-    channels = []
-    for e, name in enumerate(trf.channel_names):
-        r = pearson_r(pred[:, e], target[:, e])
-        channels.append(ChannelScore(channel=name, r=r, p=r_to_p(r, n)))
-    mean_r = float(np.mean([c.r for c in channels]))
+    rs = _column_r(pred, target)
+    channels = [
+        ChannelScore(channel=name, r=float(r), p=r_to_p(float(r), n))
+        for name, r in zip(trf.channel_names, rs)
+    ]
+    mean_r = float(np.mean(rs))
     return EvaluationReport(
         subject_id=subject_id, channels=channels, mean_r=mean_r, n_samples=n
     )

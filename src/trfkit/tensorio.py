@@ -22,7 +22,7 @@ raise ValidationError. Both are ordinary catchable exceptions.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "write_word_events",
     "read_channel_layout",
     "write_channel_layout",
+    "read_json",
     "write_json",
 ]
 
@@ -173,6 +174,18 @@ class WordEventSequence:
         if not self.events:
             return np.zeros((0, self.dim))
         return np.stack([ev.vector for ev in self.events])
+
+    def with_vectors(self, vectors) -> "WordEventSequence":
+        """The same events carrying new vectors, one row per event."""
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[0] != len(self.events):
+            raise ValidationError(
+                f"need one vector row per event ({len(self.events)}), got shape {vectors.shape}"
+            )
+        return WordEventSequence(
+            events=[replace(ev, vector=v) for ev, v in zip(self.events, vectors)],
+            dim=vectors.shape[1],
+        )
 
 
 @dataclass
@@ -435,6 +448,16 @@ def read_channel_layout(path) -> ChannelLayout:
 
 # ---------------------------------------------------------------------------
 # JSON reports
+
+
+def read_json(path):
+    """Read a report document; malformed JSON raises FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: malformed JSON at offset {e.pos}: {e.msg}") from None
 
 
 def write_json(path, obj) -> None:

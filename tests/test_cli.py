@@ -366,6 +366,47 @@ def test_corrupt_eeg_exits_3(tmp_path):
     assert not (tmp_path / "out" / "sub00_trf.btsr").exists()
 
 
+def test_evaluate_refuses_segments_fit_did_not_hold_out(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config), "--set", "test_fraction=0.2") == 0
+    # a larger test fraction would score training segments; the other
+    # settings move the window grid or the lag range
+    for override in ("test_fraction=0.6", "window_s=1.5", "overlap=0.2", "lags.tmax_s=0.5"):
+        capsys.readouterr()
+        assert _run("evaluate", "--config", str(config), "--set", override) == 2, override
+        err = capsys.readouterr().err
+        assert "sub00" in err and "Traceback" not in err
+        assert not (out / "sub00_eval.json").exists()
+        assert not (out / "group_eval.json").exists()
+    # a fit record without the held-out segments cannot vouch for them
+    cv_path = out / "sub00_cv.json"
+    cv = json.loads(cv_path.read_text())
+    cv_path.write_text(json.dumps({k: v for k, v in cv.items() if k != "heldout"}))
+    assert _run("evaluate", "--config", str(config)) == 2
+    assert "run fit again" in capsys.readouterr().err
+    cv_path.write_text("{")
+    assert _run("evaluate", "--config", str(config)) == 3
+    assert "sub00_cv.json" in capsys.readouterr().err
+    cv_path.write_text(json.dumps(cv))
+    assert _run("evaluate", "--config", str(config), "--set", "test_fraction=0.2") == 0
+
+
+def test_import_leaves_scipy_stats_and_spatial_unloaded():
+    # every command pays for what `import trfkit.cli` loads
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, trfkit.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_evaluate_without_fit_exits_2(tmp_path, capsys):
     config = _write_config(tmp_path)
     _run("synth", "--config", str(config))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from trfkit.errors import PreconditionError
 from trfkit.lagged_design import (
     LagSpec,
+    build_lagged_csr,
     build_lagged_matrix,
     lag_range_to_samples,
 )
@@ -102,8 +103,30 @@ def test_lag_beyond_length_gives_zero_column():
 
 def test_fs_mismatch_rejected():
     x = _series([[1.0], [2.0]], fs=128.0)
-    with pytest.raises(PreconditionError):
-        build_lagged_matrix(x, _spec([0], fs=100.0))
+    for build in (build_lagged_matrix, build_lagged_csr):
+        with pytest.raises(PreconditionError):
+            build(x, _spec([0], fs=100.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_csr_design_equals_dense_design(n, d, first_lag, n_lags, density, seed):
+    # sparse impulse trains through fully dense series, with lag ranges
+    # that reach past either end of the series
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    x[rng.random((n, d)) >= density] = 0.0
+    spec = _spec(range(first_lag, first_lag + n_lags))
+    sparse = build_lagged_csr(_series(x), spec)
+    assert sparse.shape == (n, d * n_lags)
+    assert np.array_equal(sparse.toarray(), build_lagged_matrix(_series(x), spec).data)
 
 
 @settings(max_examples=25, deadline=None)

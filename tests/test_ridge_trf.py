@@ -25,6 +25,7 @@ from trfkit.ridge_trf import (
     ridge_closed_form,
     write_trf,
 )
+from trfkit.stats_eval import mean_channel_r
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ def test_predict_rejects_width_mismatch():
 # cross-validation
 
 
-def _segments(seed=0, n_segments=12, n=80, d=2, e=2, fs=100.0, lags=(0, 4)):
+def _segments(seed=0, n_segments=12, n=80, d=2, e=2, fs=100.0, lags=(0, 4), density=1.0):
     rng = np.random.default_rng(seed)
     spec = _lag_spec(range(lags[0], lags[1] + 1), fs=fs)
     L = spec.n_lags
@@ -256,6 +257,8 @@ def _segments(seed=0, n_segments=12, n=80, d=2, e=2, fs=100.0, lags=(0, 4)):
     segments = []
     for k in range(n_segments):
         x = rng.normal(size=(n, d))
+        if density < 1.0:  # impulse trains: most samples are zero
+            x[rng.random((n, d)) >= density] = 0.0
         dm = build_lagged_matrix(FeatureSeries(data=x, fs_hz=fs), spec)
         y = dm.data @ W + 0.5 * rng.normal(size=(n, e))
         segments.append(Segment(x=x, y=y, start=k * n))
@@ -326,6 +329,51 @@ def test_cv_solvers_pick_comparable_scores():
     )
     assert np.allclose(closed.per_lambda_scores,
                        iterative.per_lambda_scores, atol=1e-2)
+
+
+def _dense_stack(segs, indices, spec):
+    X = np.concatenate([
+        build_lagged_matrix(FeatureSeries(data=segs.segments[i].x, fs_hz=segs.fs_hz), spec).data
+        for i in indices
+    ])
+    return X, np.concatenate([segs.segments[i].y for i in indices])
+
+
+def _dense_cv_scores(segs, spec, grid, k):
+    """Closed-form cross-validation written out on dense designs."""
+    folds = np.array_split(np.arange(len(segs)), k)
+    scores = np.empty((len(grid), k))
+    for fi, idx in enumerate(folds):
+        X_train, Y_train = _dense_stack(segs, [i for i in range(len(segs)) if i not in idx], spec)
+        X_val, Y_val = _dense_stack(segs, idx, spec)
+        for gi, lam in enumerate(grid):
+            W = ridge_closed_form(X_train, Y_train, lam)
+            scores[gi, fi] = mean_channel_r(X_val @ W, Y_val)
+    return scores
+
+
+@pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
+def test_closed_form_cv_and_fit_match_dense_reference(density):
+    segs, spec = _segments(seed=5, n_segments=10, n=120, d=3, e=3, lags=(-3, 8), density=density)
+    grid = make_lambda_grid(1e-2, 1e3, 6)
+    rep = cross_validate(segs, spec, grid, k=5, solver="closed_form")
+    assert np.max(np.abs(rep.per_lambda_scores - _dense_cv_scores(segs, spec, grid, 5))) <= 1e-10
+
+    X, Y = _dense_stack(segs, range(len(segs)), spec)
+    W = ridge_closed_form(X, Y, rep.best_lambda)
+    kernel = flatten_trf(fit_trf(segs, spec, rep.best_lambda))
+    assert np.max(np.abs(kernel - W)) <= 1e-10 * np.max(np.abs(W))
+
+
+@pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
+def test_closed_form_singular_at_lambda_zero(density):
+    segs, spec = _segments(seed=6, n_segments=6, density=density)
+    for s in segs.segments:
+        s.x[:, 0] = 0.0  # an all-zero feature leaves X^T X singular
+    with pytest.raises(SingularSystemError):
+        cross_validate(segs, spec, [0.0], k=3, solver="closed_form")
+    with pytest.raises(SingularSystemError):
+        fit_trf(segs, spec, lam=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,16 @@ def test_pearson_non_finite_input_raises():
         pearson_r([np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 5.0])
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pearson_extreme_scale_is_exact(scale):
+    # sums of squares of the raw series overflow (1e200) or underflow (1e-200)
+    x = np.array([1.0, 2.0, 3.0, 5.0]) * scale
+    y = np.array([1.0, 2.0, 3.0, 5.0])
+    assert pearson_r(x, y) == pytest.approx(1.0, abs=1e-15)
+    assert pearson_r(-x, y) == pytest.approx(-1.0, abs=1e-15)
+    assert mean_channel_r(np.c_[x, -x], np.c_[y, -y]) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_pearson_needs_three_samples():
     with pytest.raises(PreconditionError):
         pearson_r([1.0, 2.0], [3.0, 4.0])

@@ -192,6 +192,22 @@ def test_word_events_roundtrip(tmp_path):
     assert back.events[1].onset_s == 0.503
 
 
+def test_with_vectors_keeps_events_and_checks_rows():
+    seq = WordEventSequence(
+        events=[WordEvent("the", 0.1, np.array([0.25, -1.5]), "DT"),
+                WordEvent("cat", 0.5, np.array([1.0, 3.25]), None)],
+        dim=2,
+    )
+    new = seq.with_vectors([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert new.dim == 3
+    assert [(ev.token, ev.onset_s, ev.pos_tag) for ev in new.events] == [
+        ("the", 0.1, "DT"), ("cat", 0.5, None)]
+    assert np.array_equal(new.vectors(), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert np.array_equal(seq.vectors(), [[0.25, -1.5], [1.0, 3.25]])
+    with pytest.raises(ValidationError, match="one vector row per event"):
+        seq.with_vectors([[1.0, 2.0]])
+
+
 def test_word_events_header_only_gives_empty_sequence(tmp_path):
     path = _events_tsv(tmp_path, "token\tonset_s\tpos\tv0\tv1\tv2\n")
     seq = read_word_events(path)
