@@ -426,7 +426,7 @@ def _fit_one(rec, words, cfg: PipelineConfig):
     grid = make_lambda_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_n)
     report = cross_validate(train, spec, grid, cfg.folds, solver=cfg.solver, iterative=cfg.iterative)
     model = fit_trf(train, spec, report.best_lambda, solver=cfg.solver, iterative=cfg.iterative)
-    return model, report, len(train), test
+    return model, report, len(train), len(test), _heldout_record(cfg, test)
 
 
 def _read_subjects(cfg: PipelineConfig):
@@ -456,9 +456,8 @@ def cmd_fit(cfg: PipelineConfig, workers: int = 1) -> None:
     recs, words = _read_subjects(cfg)
     results = _map_subjects(lambda rec: _fit_one(rec, words, cfg), recs, workers)
     writers = []
-    for rec, (model, report, n_train, test) in zip(recs, results):
+    for rec, (model, report, n_train, n_test, heldout) in zip(recs, results):
         sid = rec.subject_id
-        n_test = len(test)
         cv_doc = {
             "subject_id": sid,
             "grid": report.grid,
@@ -468,7 +467,7 @@ def cmd_fit(cfg: PipelineConfig, workers: int = 1) -> None:
             "n_train_segments": n_train,
             "n_test_segments": n_test,
             "solver": cfg.solver,
-            "heldout": _heldout_record(cfg, test),
+            "heldout": heldout,
         }
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))

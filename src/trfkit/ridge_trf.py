@@ -145,7 +145,7 @@ def _solve_gram(XtX: np.ndarray, XtY: np.ndarray, lam: float) -> np.ndarray:
     A = XtX.copy()
     A[np.diag_indices_from(A)] += lam
     try:
-        factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         if lam == 0:
             raise SingularSystemError(
@@ -315,17 +315,9 @@ def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
     return scipy.sparse.vstack(xs, format="csr"), np.concatenate(ys, axis=0)
 
 
-# Above this share of non-zero entries a dense BLAS product forms X^T X
-# faster than a sparse one (measured crossover near 7 % at 4000 x 500).
-_SPARSE_GRAM_MAX_DENSITY = 0.05
-
-
 def _sufficient_stats(segments: SegmentSet, indices, spec: LagSpec):
     """(X, Y, X^T X, X^T Y) of the given segments; X is CSR, the rest dense."""
     X, Y = _sparse_stack(segments, indices, spec)
-    if X.nnz > _SPARSE_GRAM_MAX_DENSITY * X.shape[0] * X.shape[1]:
-        Xd = X.toarray()
-        return X, Y, Xd.T @ Xd, Xd.T @ Y
     return X, Y, (X.T @ X).toarray(), X.T @ Y
 
 
