@@ -2,20 +2,23 @@
 
 Weights solve (X^T X + lambda I) W = X^T Y with no intercept; both sides
 are expected to be standardised upstream, so kernels come out in
-arbitrary units (z-scored response per z-scored feature). The closed-form
-path factorises the regularised Gram matrix (Cholesky); the iterative
-path runs seeded mini-batch gradient descent on the same objective.
+arbitrary units (z-scored response per z-scored feature). A closed-form
+fit at one penalty factorises the regularised Gram matrix (Cholesky);
+the iterative path runs seeded mini-batch gradient descent on the same
+objective.
 
 Cross-validation, the closed-form fit and evaluation share one path for
 the sufficient statistics: each segment set is stacked into a CSR design
 straight from its non-zero samples, and X^T X and X^T Y come from sparse
-products (dense ones once the design is more than 5 % non-zero). The
-iterative solver works on the dense design.
+products. The iterative solver works on the dense design.
 
 Cross-validation assigns segments to contiguous folds in temporal order
 and scores each candidate penalty by the mean Pearson correlation across
 channels on the held-out fold, concatenated over its segments. Ties
-resolve toward the stronger penalty.
+resolve toward the stronger penalty. The closed-form search reduces each
+fold's training Gram to tridiagonal form once, X^T X = Q T Q^T, so every
+penalty costs one O(P) tridiagonal solve (Golub & Van Loan, Matrix
+Computations, 4th ed., section 8.3.1).
 """
 
 from dataclasses import asdict, dataclass
@@ -141,20 +144,59 @@ def _as_matrix(Y) -> np.ndarray:
     return Y
 
 
+def _not_positive_definite(lam: float) -> Exception:
+    if lam == 0:
+        return SingularSystemError("X^T X is singular at lambda = 0; use a positive penalty")
+    return NumericalError(f"Gram matrix is not positive definite at lambda = {lam}")
+
+
 def _solve_gram(XtX: np.ndarray, XtY: np.ndarray, lam: float) -> np.ndarray:
     A = XtX.copy()
     A[np.diag_indices_from(A)] += lam
     try:
         factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
-        if lam == 0:
-            raise SingularSystemError(
-                "X^T X is singular at lambda = 0; use a positive penalty"
-            ) from None
-        raise NumericalError(
-            f"Gram matrix is not positive definite at lambda = {lam}"
-        ) from None
+        raise _not_positive_definite(lam) from None
     return scipy.linalg.cho_solve(factor, XtY, check_finite=False)
+
+
+def _apply_q(trans: str, reflectors: np.ndarray, tau: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Q' C (trans "N") or Q'^T C (trans "T") for QR-stored Householder reflectors."""
+    ormqr = scipy.linalg.lapack.dormqr
+    lwork = int(ormqr("L", trans, reflectors, tau, C, -1)[1][0])
+    return ormqr("L", trans, reflectors, tau, C, lwork, overwrite_c=1)[0]
+
+
+def _ridge_path(XtX: np.ndarray, XtY: np.ndarray, grid) -> np.ndarray:
+    """Ridge weights at every penalty of grid from one tridiagonal reduction.
+
+    X^T X = Q T Q^T (LAPACK dsytrd) turns each (X^T X + lam I) W = X^T Y
+    into (T + lam I) Z = Q^T X^T Y, one O(P) tridiagonal solve, and one
+    back-transform W = Q Z serves all penalties. Returns (P, len(grid) * E);
+    the weights for grid[g] are columns g*E to (g+1)*E. XtX is overwritten,
+    so pass a copy to keep it. Failures raise as _solve_gram's do.
+    """
+    P, E = XtY.shape
+    if P == 1:  # nothing to reduce, and dptsv takes no empty subdiagonal
+        return np.hstack([_solve_gram(XtX, XtY, lam) for lam in grid])
+    # A Gram's zero diagonal entry is an all-zero row. Cholesky meets it as an
+    # exact zero pivot; the reduction mixes it into other rows, where rounding
+    # can leave T + 0 I positive definite.
+    zero_row = not np.all(np.diagonal(XtX))
+    lwork = int(scipy.linalg.lapack.dsytrd_lwork(P, lower=1)[0])
+    # XtX is symmetric, so its transpose is the same matrix in Fortran order
+    c, d, e, tau, _ = scipy.linalg.lapack.dsytrd(XtX.T, lower=1, lwork=lwork, overwrite_a=1)
+    # Q = diag(1, Q'), with Q' stored as QR reflectors below the subdiagonal
+    reflectors = np.asfortranarray(c[1:, :-1])
+    B = np.array(XtY, order="F")
+    B[1:] = _apply_q("T", reflectors, tau, B[1:])
+    Z = np.empty((P, len(grid) * E), order="F")
+    for gi, lam in enumerate(grid):
+        _, _, Z[:, gi * E : (gi + 1) * E], info = scipy.linalg.lapack.dptsv(d + lam, e, B)
+        if info > 0 or (lam == 0 and zero_row):
+            raise _not_positive_definite(lam)
+    Z[1:] = _apply_q("N", reflectors, tau, Z[1:])
+    return Z
 
 
 def ridge_closed_form(X, Y, lam: float) -> np.ndarray:
@@ -384,12 +426,12 @@ def cross_validate(
         stats = [_sufficient_stats(segments, idx, spec) for idx in folds]
         G_tot = sum(G for _, _, G, _ in stats)
         H_tot = sum(H for _, _, _, H in stats)
+        E = H_tot.shape[1]
         for fi, (X_val, Y_val, G_val, H_val) in enumerate(stats):
-            G_train = G_tot - G_val
-            H_train = H_tot - H_val
-            for gi, lam in enumerate(grid):
-                W = _solve_gram(G_train, H_train, lam)
-                scores[gi, fi] = mean_channel_r(X_val @ W, Y_val)
+            # each fold's Gram is used once, so its buffer takes the training Gram
+            W = _ridge_path(np.subtract(G_tot, G_val, out=G_val), H_tot - H_val, grid)
+            for gi in range(len(grid)):
+                scores[gi, fi] = mean_channel_r(X_val @ W[:, gi * E : (gi + 1) * E], Y_val)
     else:
         for fi, idx in enumerate(folds):
             train_idx = [i for i in range(n) if fold_assignment[i] != fi]

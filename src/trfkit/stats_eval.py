@@ -98,6 +98,13 @@ class TopoRow:
     p: float
 
 
+def _centred(a: np.ndarray) -> np.ndarray:
+    """Columns of a centred after an exact power-of-two scaling that keeps their means finite."""
+    c = np.ldexp(a, -np.frexp(np.abs(a).max(axis=0))[1])
+    c -= c.mean(axis=0)
+    return c
+
+
 def _column_r(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pearson r of each column of a with the same column of b.
 
@@ -108,8 +115,8 @@ def _column_r(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[0] < 3:
         raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
+    ac = _centred(a)
+    bc = _centred(b)
     a_scale = np.abs(ac).max(axis=0)
     b_scale = np.abs(bc).max(axis=0)
     if np.any(a_scale == 0.0) or np.any(b_scale == 0.0):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trfkit.errors import (
     DegenerateDataError,
     DivergenceError,
+    NumericalError,
     PreconditionError,
     SingularSystemError,
 )
@@ -11,6 +14,8 @@ from trfkit.lagged_design import LagSpec, build_lagged_matrix
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
 from trfkit.ridge_trf import (
     CvReport,
+    _ridge_path,
+    _solve_gram,
     IterativeOptions,
     TrfModel,
     cross_validate,
@@ -139,6 +144,57 @@ def test_one_dim_target_accepted():
     W = ridge_closed_form(X, np.array([3.0, 6.0, 9.0]), lam=2.0)
     assert W.shape == (3, 1)
     assert np.allclose(W[:, 0], [1.0, 2.0, 3.0])
+
+
+# ---------------------------------------------------------------------------
+# penalty path (one tridiagonal reduction for a whole grid)
+
+_sizes = dict(
+    P=st.integers(min_value=1, max_value=40),
+    E=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+_grids = st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1, max_size=20)
+
+
+def _gram_problem(P, E, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(P + 5, P))
+    return A, rng.normal(size=(P, E))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=_grids, **_sizes)
+def test_ridge_path_matches_per_lambda_cholesky(P, E, seed, grid):
+    A, H = _gram_problem(P, E, seed)
+    G = A.T @ A
+    W = _ridge_path(G.copy(), H, grid)  # the helper overwrites its Gram
+    assert W.shape == (P, len(grid) * E)
+    for gi, lam in enumerate(grid):
+        ref = _solve_gram(G, H, lam)
+        assert np.max(np.abs(W[:, gi * E : (gi + 1) * E] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.floats(min_value=0.0, max_value=1.0, exclude_max=True), **_sizes)
+def test_ridge_path_zero_row_is_singular_at_lambda_zero(P, E, seed, row):
+    A, H = _gram_problem(P, E, seed)
+    A[:, int(row * P)] = 0.0
+    G = A.T @ A
+    with pytest.raises(SingularSystemError):
+        _ridge_path(G.copy(), H, [1.0, 0.0])
+    assert np.all(np.isfinite(_ridge_path(G.copy(), H, [1.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_grids, **_sizes)
+def test_ridge_path_indefinite_gram_raises_numerical_error(P, E, seed, grid):
+    A, H = _gram_problem(P, E, seed)
+    Q = np.linalg.qr(A[:P])[0]
+    eigs = np.linspace(1.0, 10.0, P)
+    eigs[len(eigs) // 2] = -(max(grid) + 1.0)  # stays negative at every penalty
+    with pytest.raises(NumericalError):
+        _ridge_path((Q * eigs) @ Q.T, H, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +419,14 @@ def test_closed_form_cv_and_fit_match_dense_reference(density):
     W = ridge_closed_form(X, Y, rep.best_lambda)
     kernel = flatten_trf(fit_trf(segs, spec, rep.best_lambda))
     assert np.max(np.abs(kernel - W)) <= 1e-10 * np.max(np.abs(W))
+
+
+@pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
+def test_closed_form_cv_matches_dense_reference_on_wide_grid(density):
+    segs, spec = _segments(seed=7, n_segments=10, n=120, d=3, e=3, lags=(-3, 8), density=density)
+    grid = make_lambda_grid(1e-2, 1e6, 20)
+    rep = cross_validate(segs, spec, grid, k=5, solver="closed_form")
+    assert np.max(np.abs(rep.per_lambda_scores - _dense_cv_scores(segs, spec, grid, 5))) <= 1e-10
 
 
 @pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])

@@ -58,6 +58,17 @@ def test_pearson_extreme_scale_is_exact(scale):
     assert mean_channel_r(np.c_[x, -x], np.c_[y, -y]) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-308])
+def test_pearson_near_float_limits(scale):
+    # at 1e308 the column sum behind the mean overflows; at 1e-308 the
+    # entries are subnormal
+    x = np.array([1.7, 1.7, 1.7, 1.6]) * scale
+    y = np.array([1.0, 1.0, 1.0, 0.0])
+    assert pearson_r(x, y) == pytest.approx(1.0, abs=1e-15)
+    assert pearson_r(y, -x) == pytest.approx(-1.0, abs=1e-15)
+    assert mean_channel_r(np.c_[x, -x], np.c_[y, -y]) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_pearson_needs_three_samples():
     with pytest.raises(PreconditionError):
         pearson_r([1.0, 2.0], [3.0, 4.0])
