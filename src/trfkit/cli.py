@@ -426,7 +426,17 @@ def _fit_one(rec, words, cfg: PipelineConfig):
     grid = make_lambda_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_n)
     report = cross_validate(train, spec, grid, cfg.folds, solver=cfg.solver, iterative=cfg.iterative)
     model = fit_trf(train, spec, report.best_lambda, solver=cfg.solver, iterative=cfg.iterative)
-    return model, report, len(train), len(test), _heldout_record(cfg, test)
+    return model, {
+        "subject_id": rec.subject_id,
+        "grid": report.grid,
+        "per_lambda_scores": [list(map(float, row)) for row in report.per_lambda_scores],
+        "best_lambda": report.best_lambda,
+        "fold_assignment": report.fold_assignment,
+        "n_train_segments": len(train),
+        "n_test_segments": len(test),
+        "solver": cfg.solver,
+        "heldout": _heldout_record(cfg, test),
+    }
 
 
 def _read_subjects(cfg: PipelineConfig):
@@ -456,23 +466,12 @@ def cmd_fit(cfg: PipelineConfig, workers: int = 1) -> None:
     recs, words = _read_subjects(cfg)
     results = _map_subjects(lambda rec: _fit_one(rec, words, cfg), recs, workers)
     writers = []
-    for rec, (model, report, n_train, n_test, heldout) in zip(recs, results):
+    for rec, (model, cv_doc) in zip(recs, results):
         sid = rec.subject_id
-        cv_doc = {
-            "subject_id": sid,
-            "grid": report.grid,
-            "per_lambda_scores": [list(map(float, row)) for row in report.per_lambda_scores],
-            "best_lambda": report.best_lambda,
-            "fold_assignment": report.fold_assignment,
-            "n_train_segments": n_train,
-            "n_test_segments": n_test,
-            "solver": cfg.solver,
-            "heldout": heldout,
-        }
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))
-        _log(f"fit {sid}: best lambda {report.best_lambda:g} "
-             f"({n_train} train / {n_test} test segments)")
+        _log(f"fit {sid}: best lambda {cv_doc['best_lambda']:g} "
+             f"({cv_doc['n_train_segments']} train / {cv_doc['n_test_segments']} test segments)")
     _commit_outputs(cfg.output, writers)
 
 

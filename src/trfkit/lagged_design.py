@@ -87,8 +87,6 @@ def lag_range_to_samples(tmin_s: float, tmax_s: float, fs_hz: float) -> LagSpec:
         raise PreconditionError(f"tmin_s must be below tmax_s, got [{tmin_s}, {tmax_s}]")
     first = round_half_up(tmin_s * fs_hz)
     last = round_half_up(tmax_s * fs_hz)
-    if last < first:  # cannot happen with tmin < tmax, kept as a guard
-        raise PreconditionError(f"empty lag range [{first}, {last}]")
     return LagSpec(
         tmin_s=tmin_s,
         tmax_s=tmax_s,

@@ -87,7 +87,9 @@ def _class_partition(vectors: np.ndarray, labels) -> tuple[list[str], dict]:
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise PreconditionError(f"need at least 2 classes, got {len(classes)}")
-    members = {c: np.flatnonzero([lab == c for lab in labels]) for c in classes}
+    index = {c: ci for ci, c in enumerate(classes)}
+    inverse = np.fromiter((index[lab] for lab in labels), dtype=np.intp, count=len(labels))
+    members = {c: np.flatnonzero(inverse == ci) for ci, c in enumerate(classes)}
     for c in classes:
         if members[c].size < 2:
             raise PreconditionError(f"class {c!r} has {members[c].size} sample(s), need >= 2")

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from ._util import round_half_up
+from ._util import correlate, round_half_up, scaled_columns
 from .errors import (
     DivergenceError,
     NumericalError,
@@ -35,7 +35,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .lagged_design import DesignMatrix, LagSpec, build_lagged_csr, build_lagged_matrix
+from .lagged_design import DesignMatrix, LagSpec, build_lagged_csr
 from .preprocess import FeatureSeries, SegmentSet
 from .tensorio import read_tensor, write_tensor
 
@@ -326,25 +326,22 @@ def flatten_trf(model: TrfModel) -> np.ndarray:
 
 
 def pick_best_lambda(grid, mean_scores) -> float:
-    """Highest mean score wins; exact ties go to the larger penalty."""
-    best = None
-    best_score = -np.inf
-    for lam, score in zip(grid, mean_scores):
-        if score > best_score or (score == best_score and best is not None and lam > best):
-            best = lam
-            best_score = score
-    return float(best)
+    """Highest mean score wins; exact ties go to the larger penalty.
 
-
-def _stack_segments(segments: SegmentSet, indices, spec: LagSpec):
-    """Dense design and response of the given segments, stacked in order."""
-    xs, ys = [], []
-    for i in indices:
-        seg = segments.segments[i]
-        design = build_lagged_matrix(FeatureSeries(data=seg.x, fs_hz=segments.fs_hz), spec)
-        xs.append(design.data)
-        ys.append(seg.y)
-    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
+    An empty grid or a score count that differs from the grid's raises
+    PreconditionError; a non-finite score raises NumericalError naming
+    its penalty.
+    """
+    grid = [float(g) for g in grid]
+    scores = [float(s) for s in mean_scores]
+    if not grid:
+        raise PreconditionError("lambda grid is empty")
+    if len(scores) != len(grid):
+        raise PreconditionError(f"{len(scores)} scores for {len(grid)} penalties")
+    for lam, score in zip(grid, scores):
+        if not np.isfinite(score):
+            raise NumericalError(f"validation score at lambda = {lam:g} is not finite ({score})")
+    return max(zip(scores, grid))[1]
 
 
 def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
@@ -357,10 +354,22 @@ def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
     return scipy.sparse.vstack(xs, format="csr"), np.concatenate(ys, axis=0)
 
 
-def _sufficient_stats(segments: SegmentSet, indices, spec: LagSpec):
-    """(X, Y, X^T X, X^T Y) of the given segments; X is CSR, the rest dense."""
+def _stack_segments(segments: SegmentSet, indices, spec: LagSpec):
+    """Dense design and response of the given segments, stacked in order."""
     X, Y = _sparse_stack(segments, indices, spec)
-    return X, Y, (X.T @ X).toarray(), X.T @ Y
+    return X.toarray(), Y
+
+
+def _normal_equations(X, Y):
+    """Dense X^T X and X^T Y of a CSR design X and its response Y."""
+    return (X.T @ X).toarray(), X.T @ Y
+
+
+def _penalty_scores(X_val, Y_val, W) -> list:
+    """Mean channel r of X_val @ W_g against Y_val for each penalty's block W_g of W."""
+    target = scaled_columns(Y_val)
+    blocks = np.split(W, W.shape[1] // Y_val.shape[1], axis=1)
+    return [np.mean(correlate(scaled_columns(X_val @ W_g), target)) for W_g in blocks]
 
 
 def cross_validate(
@@ -413,42 +422,32 @@ def cross_validate(
     if solver not in ("closed_form", "iterative"):
         raise PreconditionError(f"unknown solver {solver!r}")
 
-    # local import: stats_eval imports this module for model types
-    from .stats_eval import mean_channel_r
-
     folds = np.array_split(np.arange(n), k)
-    fold_assignment = np.empty(n, dtype=int)
-    for fi, idx in enumerate(folds):
-        fold_assignment[idx] = fi
+    fold_assignment = [fi for fi, idx in enumerate(folds) for _ in idx]
+    stacks = [_sparse_stack(segments, idx, spec) for idx in folds]
+    if solver == "closed_form":
+        stats = [_normal_equations(X, Y) for X, Y in stacks]
+        G_tot = sum(G for G, _ in stats)
+        H_tot = sum(H for _, H in stats)
 
     scores = np.empty((len(grid), k))
-    if solver == "closed_form":
-        stats = [_sufficient_stats(segments, idx, spec) for idx in folds]
-        G_tot = sum(G for _, _, G, _ in stats)
-        H_tot = sum(H for _, _, _, H in stats)
-        E = H_tot.shape[1]
-        for fi, (X_val, Y_val, G_val, H_val) in enumerate(stats):
+    for fi, (X_val, Y_val) in enumerate(stacks):
+        if solver == "closed_form":
+            G_val, H_val = stats[fi]
             # each fold's Gram is used once, so its buffer takes the training Gram
             W = _ridge_path(np.subtract(G_tot, G_val, out=G_val), H_tot - H_val, grid)
-            for gi in range(len(grid)):
-                scores[gi, fi] = mean_channel_r(X_val @ W[:, gi * E : (gi + 1) * E], Y_val)
-    else:
-        for fi, idx in enumerate(folds):
+        else:
             train_idx = [i for i in range(n) if fold_assignment[i] != fi]
             X_train, Y_train = _stack_segments(segments, train_idx, spec)
-            X_val, Y_val = _stack_segments(segments, idx, spec)
-            for gi, lam in enumerate(grid):
-                fit = fit_iterative(X_train, Y_train, lam, **asdict(iterative))
-                scores[gi, fi] = mean_channel_r(X_val @ fit.weights, Y_val)
+            fits = [fit_iterative(X_train, Y_train, lam, **asdict(iterative)) for lam in grid]
+            W = np.hstack([fit.weights for fit in fits])
+        scores[:, fi] = _penalty_scores(X_val, Y_val, W)
 
-    if not np.all(np.isfinite(scores)):
-        raise NumericalError("cross-validation produced non-finite scores")
-    best = pick_best_lambda(grid, scores.mean(axis=1))
     return CvReport(
         grid=grid,
         per_lambda_scores=scores,
-        best_lambda=best,
-        fold_assignment=[int(f) for f in fold_assignment],
+        best_lambda=pick_best_lambda(grid, scores.mean(axis=1)),
+        fold_assignment=fold_assignment,
     )
 
 
@@ -470,8 +469,7 @@ def fit_trf(
         raise PreconditionError(f"lambda must be nonnegative, got {lam}")
     everything = range(len(segments))
     if solver == "closed_form":
-        _, _, G, H = _sufficient_stats(segments, everything, spec)
-        W = _solve_gram(G, H, lam)
+        W = _solve_gram(*_normal_equations(*_sparse_stack(segments, everything, spec)), lam)
     elif solver == "iterative":
         X, Y = _stack_segments(segments, everything, spec)
         W = fit_iterative(X, Y, lam, **asdict(iterative)).weights

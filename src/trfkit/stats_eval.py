@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .errors import DegenerateDataError, NumericalError, PreconditionError, ValidationError
+from ._util import correlate, scaled_columns
+from .errors import PreconditionError, ValidationError
 from .lagged_design import LagSpec
 from .preprocess import SegmentSet
 from .ridge_trf import TrfModel, _sparse_stack, flatten_trf
@@ -98,43 +99,6 @@ class TopoRow:
     p: float
 
 
-def _centred(a: np.ndarray) -> np.ndarray:
-    """Columns of a centred after an exact power-of-two scaling that keeps their means finite."""
-    c = np.ldexp(a, -np.frexp(np.abs(a).max(axis=0))[1])
-    c -= c.mean(axis=0)
-    return c
-
-
-def _column_r(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pearson r of each column of a with the same column of b.
-
-    Each centred column is divided by its largest magnitude before any
-    product, so sums of squares neither overflow nor underflow whatever
-    the scale of the input. A constant column raises DegenerateDataError;
-    non-finite input that makes r non-finite raises NumericalError.
-    """
-    if a.shape[0] < 3:
-        raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")
-    ac = _centred(a)
-    bc = _centred(b)
-    a_scale = np.abs(ac).max(axis=0)
-    b_scale = np.abs(bc).max(axis=0)
-    if np.any(a_scale == 0.0) or np.any(b_scale == 0.0):
-        raise DegenerateDataError("correlation is undefined for a constant series")
-    ac /= a_scale
-    bc /= b_scale
-    sab = np.einsum("ij,ij->j", ac, bc)
-    saa = np.einsum("ij,ij->j", ac, ac)
-    sbb = np.einsum("ij,ij->j", bc, bc)
-    r = sab / np.sqrt(saa * sbb)
-    if not np.all(np.isfinite(r)):
-        raise NumericalError(
-            f"correlation is not finite (r = {r[~np.isfinite(r)][0]}); "
-            "the series hold non-finite values"
-        )
-    return np.clip(r, -1.0, 1.0)
-
-
 def pearson_r(x, y) -> float:
     """Sample Pearson correlation of two equal-length series.
 
@@ -145,7 +109,7 @@ def pearson_r(x, y) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise PreconditionError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return float(_column_r(x[:, None], y[:, None])[0])
+    return float(correlate(scaled_columns(x[:, None]), scaled_columns(y[:, None]))[0])
 
 
 def r_to_p(r: float, n: int) -> float:
@@ -184,7 +148,7 @@ def mean_channel_r(pred: np.ndarray, target: np.ndarray) -> float:
         raise PreconditionError(f"shape mismatch: {pred.shape} vs {target.shape}")
     if pred.ndim != 2:
         raise PreconditionError(f"expected 2-D arrays, got ndim={pred.ndim}")
-    return float(np.mean(_column_r(pred, target)))
+    return float(np.mean(correlate(scaled_columns(pred), scaled_columns(target))))
 
 
 def evaluate_subject(
@@ -221,7 +185,7 @@ def evaluate_subject(
     X, target = _sparse_stack(test_segments, range(len(test_segments)), spec)
     pred = X @ flatten_trf(trf)
     n = pred.shape[0]
-    rs = _column_r(pred, target)
+    rs = correlate(scaled_columns(pred), scaled_columns(target))
     channels = [
         ChannelScore(channel=name, r=float(r), p=r_to_p(float(r), n))
         for name, r in zip(trf.channel_names, rs)

@@ -134,6 +134,12 @@ def test_tiny_class_rejected():
         fit_lda(X, ["a", "a", "a", "a", "b"], n_components=1)
 
 
+def test_labels_differing_by_a_trailing_nul_stay_apart():
+    X, labels = _two_blobs(seed=2)
+    labels = ["a" if lab == "a" else "a\x00" for lab in labels]
+    assert fit_lda(X, labels, n_components=1).class_labels == ["a", "a\x00"]
+
+
 def test_label_count_mismatch_rejected():
     X = np.random.default_rng(0).normal(size=(6, 3))
     with pytest.raises(PreconditionError):

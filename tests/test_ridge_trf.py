@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,23 @@ def test_pick_best_lambda_breaks_ties_upward():
     assert pick_best_lambda(grid, scores) == 10.0
     scores = np.array([0.7, 0.5, 0.5])
     assert pick_best_lambda(grid, scores) == 0.1
+
+
+def test_pick_best_lambda_rejects_empty_or_mismatched_input():
+    with pytest.raises(PreconditionError, match="empty"):
+        pick_best_lambda([], [])
+    with pytest.raises(PreconditionError, match="2 scores for 3 penalties"):
+        pick_best_lambda([0.1, 1.0, 10.0], [0.5, 0.7])
+    with pytest.raises(PreconditionError, match="2 scores for 1 penalties"):
+        pick_best_lambda([0.1], [0.5, 0.7])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pick_best_lambda_names_non_finite_score(bad):
+    with pytest.raises(NumericalError, match="lambda = 1 is not finite"):
+        pick_best_lambda([0.1, 1.0, 10.0], [0.5, bad, 0.7])
+    with pytest.raises(NumericalError, match="lambda = 0.1 is not finite"):
+        pick_best_lambda([0.1, 1.0], [bad, bad])
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +414,30 @@ def _dense_stack(segs, indices, spec):
     return X, np.concatenate([segs.segments[i].y for i in indices])
 
 
-def _dense_cv_scores(segs, spec, grid, k):
-    """Closed-form cross-validation written out on dense designs."""
+def _dense_cv_scores(segs, spec, grid, k, solve=ridge_closed_form):
+    """Cross-validation written out on dense designs; solve(X, Y, lam) gives the weights."""
     folds = np.array_split(np.arange(len(segs)), k)
     scores = np.empty((len(grid), k))
     for fi, idx in enumerate(folds):
         X_train, Y_train = _dense_stack(segs, [i for i in range(len(segs)) if i not in idx], spec)
         X_val, Y_val = _dense_stack(segs, idx, spec)
         for gi, lam in enumerate(grid):
-            W = ridge_closed_form(X_train, Y_train, lam)
+            W = solve(X_train, Y_train, lam)
             scores[gi, fi] = mean_channel_r(X_val @ W, Y_val)
     return scores
+
+
+def test_iterative_cv_matches_dense_reference():
+    segs, spec = _segments(seed=4, n_segments=7, n=60, d=2, e=3, density=0.3)
+    grid = [0.1, 3.0, 100.0]
+    options = IterativeOptions(lr=1e-3, batch_size=16, tol=1e-8, max_epochs=4, seed=2)
+    rep = cross_validate(segs, spec, grid, k=3, solver="iterative", iterative=options)
+    expected = _dense_cv_scores(
+        segs, spec, grid, 3,
+        solve=lambda X, Y, lam: fit_iterative(X, Y, lam, **asdict(options)).weights,
+    )
+    assert np.max(np.abs(rep.per_lambda_scores - expected)) <= 1e-12
+    assert rep.fold_assignment == [0, 0, 0, 1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
