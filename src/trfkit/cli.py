@@ -22,7 +22,7 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ._util import round_half_up
@@ -61,7 +61,6 @@ from .tensorio import (
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "PipelineConfig",
     "load_config",
     "split_segments",
     "cmd_synth",
@@ -94,31 +93,6 @@ DEFAULT_CONFIG = {
         "n_subjects": 1,
     },
 }
-
-
-@dataclass
-class PipelineConfig:
-    """Validated, path-resolved pipeline settings."""
-
-    eeg_paths: list[Path]
-    word_events: Path | None
-    layout: Path | None
-    output: Path
-    tmin_s: float
-    tmax_s: float
-    window_s: float
-    overlap: float
-    grid_lo: float
-    grid_hi: float
-    grid_n: int
-    folds: int
-    solver: str
-    iterative: IterativeOptions
-    lda_enabled: bool
-    lda_components: int
-    test_fraction: float
-    seed: int
-    synth: dict
 
 
 def _finite_float(value):
@@ -247,7 +221,9 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("config key 'lambda_grid.lo' must be below lambda_grid.hi")
 
 
-def _resolve(base: Path, value: str) -> Path:
+def _resolve(base: Path, value: str) -> Path | None:
+    if not value:
+        return None
     p = Path(value)
     return p if p.is_absolute() else base / p
 
@@ -257,10 +233,13 @@ def load_config(
     sets: list[str] | None = None,
     seed: int | None = None,
     output: str | None = None,
-) -> PipelineConfig:
+) -> dict:
     """Read, merge, override and validate a pipeline config.
 
-    Validation is total: any problem raises ConfigError before the
+    Returns the config tree, shaped like DEFAULT_CONFIG, with its paths
+    resolved: `paths.eeg` is a list of Paths, `paths.word_events` and
+    `paths.layout` are a Path or None when empty, and `paths.output` is a
+    Path. Validation is total: any problem raises ConfigError before the
     caller gets a chance to touch the filesystem.
     """
     config_path = Path(config_path)
@@ -281,31 +260,16 @@ def load_config(
     if seed is not None:
         cfg["seed"] = seed
     _validate(cfg)
+    if output == "":
+        raise ConfigError("--output must not be empty")
 
-    base = config_path.parent
-    paths, lags, grid, lda = cfg["paths"], cfg["lags"], cfg["lambda_grid"], cfg["lda"]
-    return PipelineConfig(
-        eeg_paths=[_resolve(base, p) for p in paths["eeg"]],
-        word_events=_resolve(base, paths["word_events"]) if paths["word_events"] else None,
-        layout=_resolve(base, paths["layout"]) if paths["layout"] else None,
-        # --output resolves against the working directory, not the config's
-        output=Path(output) if output is not None else _resolve(base, paths["output"]),
-        tmin_s=lags["tmin_s"],
-        tmax_s=lags["tmax_s"],
-        window_s=cfg["window_s"],
-        overlap=cfg["overlap"],
-        grid_lo=grid["lo"],
-        grid_hi=grid["hi"],
-        grid_n=grid["n"],
-        folds=cfg["folds"],
-        solver=cfg["solver"],
-        iterative=IterativeOptions(**cfg["iterative"], seed=cfg["seed"]),
-        lda_enabled=lda["enabled"],
-        lda_components=lda["n_components"],
-        test_fraction=cfg["test_fraction"],
-        seed=cfg["seed"],
-        synth=cfg["synth"],
-    )
+    base, paths = config_path.parent, cfg["paths"]
+    paths["eeg"] = [_resolve(base, p) for p in paths["eeg"]]
+    for key in ("word_events", "layout", "output"):
+        paths[key] = _resolve(base, paths[key])
+    if output is not None:  # --output resolves against the working directory
+        paths["output"] = Path(output)
+    return cfg
 
 
 def split_segments(segments: SegmentSet, test_fraction: float) -> tuple[SegmentSet, SegmentSet]:
@@ -346,11 +310,11 @@ def _log(message: str) -> None:
 # commands
 
 
-def cmd_synth(cfg: PipelineConfig) -> None:
+def cmd_synth(cfg: dict) -> None:
     """Generate synthetic subjects sharing one word stream."""
-    spec_fields = dict(cfg.synth)
-    n_subjects = spec_fields.pop("n_subjects")
-    base_spec = SynthSpec(**spec_fields, tmin_s=cfg.tmin_s, tmax_s=cfg.tmax_s, seed=cfg.seed)
+    synth_fields = dict(cfg["synth"])
+    n_subjects = synth_fields.pop("n_subjects")
+    base_spec = SynthSpec(**synth_fields, **cfg["lags"], seed=cfg["seed"])
     words = gen_words(base_spec)
     layout = circle_layout(base_spec.channel_names())
 
@@ -360,29 +324,29 @@ def cmd_synth(cfg: PipelineConfig) -> None:
     ]
     for s in range(n_subjects):
         sid = f"sub{s:02d}"
-        spec_s = replace(base_spec, seed=cfg.seed + s)
+        spec_s = replace(base_spec, seed=cfg["seed"] + s)
         kernel = gen_kernel(spec_s)
         rec = gen_response(kernel, words, spec_s, subject_id=sid)
         writers.append((f"{sid}_truth_trf.btsr", lambda p, k=kernel: write_trf(p, k)))
         writers.append((f"{sid}_eeg.btsr", lambda p, r=rec: write_eeg(p, r)))
         _log(f"synth {sid}: {rec.n_channels} channels x {rec.n_samples} samples, "
              f"{len(words)} words")
-    _commit_outputs(cfg.output, writers)
+    _commit_outputs(cfg["paths"]["output"], writers)
 
 
-def _prepare_segments(rec, words, cfg: PipelineConfig) -> SegmentSet:
+def _prepare_segments(rec, words, cfg: dict) -> SegmentSet:
     rec_z = zscore_channels(rec)
     words_z = zscore_features(words)
     aligned = impulse_align(words_z, rec.fs_hz, rec.n_samples)
-    return segment(aligned, rec_z, cfg.window_s, cfg.overlap)
+    return segment(aligned, rec_z, cfg["window_s"], cfg["overlap"])
 
 
-def _heldout_record(cfg: PipelineConfig, test: SegmentSet) -> dict:
+def _heldout_record(cfg: dict, test: SegmentSet) -> dict:
     """What fit held out, and the settings that decide it, as `<sid>_cv.json` stores it."""
     return {
-        "window_s": cfg.window_s,
-        "overlap": cfg.overlap,
-        "lags": {"tmin_s": cfg.tmin_s, "tmax_s": cfg.tmax_s},
+        "window_s": cfg["window_s"],
+        "overlap": cfg["overlap"],
+        "lags": cfg["lags"],
         "segment_starts": [seg.start for seg in test.segments],
     }
 
@@ -414,18 +378,19 @@ def _check_heldout(sid: str, cv_doc, now: dict) -> None:
         )
 
 
-def _fit_one(rec, words, cfg: PipelineConfig):
+def _fit_one(rec, words, cfg: dict):
     segs = _prepare_segments(rec, words, cfg)
-    train, test = split_segments(segs, cfg.test_fraction)
-    if len(train) < cfg.folds:
+    train, test = split_segments(segs, cfg["test_fraction"])
+    if len(train) < cfg["folds"]:
         raise PreconditionError(
             f"subject {rec.subject_id}: {len(train)} training segments "
-            f"cannot fill {cfg.folds} folds"
+            f"cannot fill {cfg['folds']} folds"
         )
-    spec = lag_range_to_samples(cfg.tmin_s, cfg.tmax_s, rec.fs_hz)
-    grid = make_lambda_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_n)
-    report = cross_validate(train, spec, grid, cfg.folds, solver=cfg.solver, iterative=cfg.iterative)
-    model = fit_trf(train, spec, report.best_lambda, solver=cfg.solver, iterative=cfg.iterative)
+    spec = lag_range_to_samples(**cfg["lags"], fs_hz=rec.fs_hz)
+    grid = make_lambda_grid(**cfg["lambda_grid"])
+    solver, iterative = cfg["solver"], IterativeOptions(**cfg["iterative"], seed=cfg["seed"])
+    report = cross_validate(train, spec, grid, cfg["folds"], solver=solver, iterative=iterative)
+    model = fit_trf(train, spec, report.best_lambda, solver=solver, iterative=iterative)
     return model, {
         "subject_id": rec.subject_id,
         "grid": report.grid,
@@ -434,18 +399,19 @@ def _fit_one(rec, words, cfg: PipelineConfig):
         "fold_assignment": report.fold_assignment,
         "n_train_segments": len(train),
         "n_test_segments": len(test),
-        "solver": cfg.solver,
+        "solver": solver,
         "heldout": _heldout_record(cfg, test),
     }
 
 
-def _read_subjects(cfg: PipelineConfig):
-    if not cfg.eeg_paths:
+def _read_subjects(cfg: dict):
+    paths = cfg["paths"]
+    if not paths["eeg"]:
         raise ConfigError("paths.eeg is empty")
-    if cfg.word_events is None:
+    if paths["word_events"] is None:
         raise ConfigError("paths.word_events is not set")
-    words = read_word_events(cfg.word_events)
-    recs = [read_eeg(p) for p in cfg.eeg_paths]
+    words = read_word_events(paths["word_events"])
+    recs = [read_eeg(p) for p in paths["eeg"]]
     seen = set()
     for rec in recs:
         if rec.subject_id in seen:
@@ -461,7 +427,7 @@ def _map_subjects(fn, recs, workers: int):
     return [fn(rec) for rec in recs]
 
 
-def cmd_fit(cfg: PipelineConfig, workers: int = 1) -> None:
+def cmd_fit(cfg: dict, workers: int = 1) -> None:
     """Cross-validate and fit one kernel per subject."""
     recs, words = _read_subjects(cfg)
     results = _map_subjects(lambda rec: _fit_one(rec, words, cfg), recs, workers)
@@ -472,18 +438,19 @@ def cmd_fit(cfg: PipelineConfig, workers: int = 1) -> None:
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))
         _log(f"fit {sid}: best lambda {cv_doc['best_lambda']:g} "
              f"({cv_doc['n_train_segments']} train / {cv_doc['n_test_segments']} test segments)")
-    _commit_outputs(cfg.output, writers)
+    _commit_outputs(cfg["paths"]["output"], writers)
 
 
-def cmd_evaluate(cfg: PipelineConfig, workers: int = 1) -> None:
+def cmd_evaluate(cfg: dict, workers: int = 1) -> None:
     """Score fitted kernels on each subject's held-out segments."""
-    if cfg.layout is None:
+    out_dir = cfg["paths"]["output"]
+    if cfg["paths"]["layout"] is None:
         raise ConfigError("paths.layout is not set")
-    layout = read_channel_layout(cfg.layout)
+    layout = read_channel_layout(cfg["paths"]["layout"])
     recs, words = _read_subjects(cfg)
     fits = []
     for rec in recs:
-        paths = [cfg.output / f"{rec.subject_id}_{kind}" for kind in ("trf.btsr", "cv.json")]
+        paths = [out_dir / f"{rec.subject_id}_{kind}" for kind in ("trf.btsr", "cv.json")]
         for path in paths:
             if not path.exists():
                 raise ValidationError(
@@ -494,7 +461,7 @@ def cmd_evaluate(cfg: PipelineConfig, workers: int = 1) -> None:
     def evaluate_one(pair):
         rec, (model, cv_doc) = pair
         segs = _prepare_segments(rec, words, cfg)
-        _, test = split_segments(segs, cfg.test_fraction)
+        _, test = split_segments(segs, cfg["test_fraction"])
         _check_heldout(rec.subject_id, cv_doc, _heldout_record(cfg, test))
         return evaluate_subject(model, test, model.lag_spec, subject_id=rec.subject_id)
 
@@ -509,16 +476,16 @@ def cmd_evaluate(cfg: PipelineConfig, workers: int = 1) -> None:
         _log(f"evaluate {sid}: mean r {report.mean_r:.4f} over {report.n_samples} samples")
     writers.append(("group_eval.json", lambda p, d=group.to_json(): write_json(p, d)))
     _log(f"group: pooled r {group.pooled_r:.4f}, fisher p {group.fisher_p:.3g}")
-    _commit_outputs(cfg.output, writers)
+    _commit_outputs(out_dir, writers)
 
 
-def cmd_lda(cfg: PipelineConfig) -> None:
+def cmd_lda(cfg: dict) -> None:
     """Reduce word vectors to discriminant space; write a reduced TSV."""
-    if not cfg.lda_enabled:
+    if not cfg["lda"]["enabled"]:
         raise ConfigError("lda.enabled is false; enable it to run the lda command")
-    if cfg.word_events is None:
+    if cfg["paths"]["word_events"] is None:
         raise ConfigError("paths.word_events is not set")
-    words = read_word_events(cfg.word_events)
+    words = read_word_events(cfg["paths"]["word_events"])
     untagged = [k for k, ev in enumerate(words.events) if ev.pos_tag is None]
     if untagged:
         shown = ", ".join(
@@ -528,7 +495,7 @@ def cmd_lda(cfg: PipelineConfig) -> None:
         raise ValidationError(f"word events without a POS tag: {shown}{more}")
     labels = [ev.pos_tag for ev in words.events]
     vectors = words.vectors()
-    model = fit_lda(vectors, labels, cfg.lda_components)
+    model = fit_lda(vectors, labels, cfg["lda"]["n_components"])
     if model.clamped:
         _log(
             f"lda: clamped from {model.requested_components} to "
@@ -540,20 +507,12 @@ def cmd_lda(cfg: PipelineConfig) -> None:
         "n_components": model.n_components,
         "requested_components": model.requested_components,
         "clamped": model.clamped,
-        "eigenvalues": [float(v) for v in model.eigenvalues],
-        "classes": [
-            {
-                "label": s.label,
-                "mean_within_distance": s.mean_within_distance,
-                "nearest_centroid_distance": s.nearest_centroid_distance,
-                "nearest_class": s.nearest_class,
-            }
-            for s in scores
-        ],
+        "eigenvalues": model.eigenvalues.tolist(),
+        "classes": [asdict(s) for s in scores],
     }
     _log(f"lda: {len(model.class_labels)} classes -> {model.n_components} components")
     _commit_outputs(
-        cfg.output,
+        cfg["paths"]["output"],
         [
             ("lda_model.btsr", lambda p: write_lda(p, model)),
             ("words_lda.tsv", lambda p: write_word_events(p, reduced)),

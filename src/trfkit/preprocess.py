@@ -129,9 +129,7 @@ def zscore_features(seq: WordEventSequence) -> WordEventSequence:
         raise DegenerateDataError(
             f"feature dimension(s) with zero variance: {', '.join(map(str, dead))}"
         )
-    scaled = (mat - mean) / std
-    events = [replace(ev, vector=scaled[k]) for k, ev in enumerate(seq.events)]
-    return WordEventSequence(events=events, dim=seq.dim)
+    return seq.with_vectors((mat - mean) / std)
 
 
 def impulse_align(seq: WordEventSequence, fs_hz: float, n_samples: int) -> FeatureSeries:

@@ -277,13 +277,13 @@ def read_tensor(path) -> TensorFile:
     np_dtype = _DTYPES[dtype_tag]
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     expected = count * np_dtype.itemsize
-    payload = raw[offset:]
-    if len(payload) != expected:
+    n_bytes = len(raw) - offset
+    if n_bytes != expected:
         raise ValidationError(
-            f"{path}: payload holds {len(payload) // np_dtype.itemsize} values "
-            f"({len(payload)} bytes) but shape {shape} requires {count}"
+            f"{path}: payload holds {n_bytes // np_dtype.itemsize} values "
+            f"({n_bytes} bytes) but shape {shape} requires {count}"
         )
-    values = np.frombuffer(payload, dtype=np_dtype).copy()
+    values = np.frombuffer(raw, dtype=np_dtype, count=count, offset=offset).copy()
     return TensorFile(dtype=dtype_tag, shape=list(shape), meta=meta, values=values)
 
 

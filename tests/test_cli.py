@@ -7,12 +7,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trfkit.cli import DEFAULT_CONFIG, load_config, main, split_segments
-from trfkit.errors import ConfigError, PreconditionError
+from trfkit.cli import (
+    DEFAULT_CONFIG,
+    _check_heldout,
+    _heldout_record,
+    load_config,
+    main,
+    split_segments,
+)
+from trfkit.errors import ConfigError, PreconditionError, ValidationError
 from trfkit.lda_reduce import ComponentClampWarning
-from trfkit.preprocess import Segment, SegmentSet
+from trfkit.preprocess import FeatureSeries, Segment, SegmentSet, segment
 from trfkit.ridge_trf import read_trf
-from trfkit.tensorio import read_eeg, read_word_events
+from trfkit.tensorio import EegRecording, read_eeg, read_word_events
 
 FAST_CONFIG = {
     "paths": {
@@ -66,10 +73,10 @@ def test_defaults_cover_every_stage():
 def test_load_config_merges_over_defaults(tmp_path):
     path = _write_config(tmp_path)
     cfg = load_config(path)
-    assert cfg.tmax_s == 0.3          # overridden
-    assert cfg.window_s == 2.0        # default
-    assert cfg.folds == 5             # default
-    assert cfg.grid_n == 4            # overridden
+    assert cfg["lags"]["tmax_s"] == 0.3      # overridden
+    assert cfg["window_s"] == 2.0            # default
+    assert cfg["folds"] == 5                 # default
+    assert cfg["lambda_grid"]["n"] == 4      # overridden
 
 
 def test_relative_paths_resolve_against_config_dir(tmp_path):
@@ -77,16 +84,16 @@ def test_relative_paths_resolve_against_config_dir(tmp_path):
     sub.mkdir(parents=True)
     path = _write_config(sub)
     cfg = load_config(path)
-    assert cfg.output == sub / "out"
-    assert cfg.eeg_paths[0] == sub / "out" / "sub00_eeg.btsr"
+    assert cfg["paths"]["output"] == sub / "out"
+    assert cfg["paths"]["eeg"][0] == sub / "out" / "sub00_eeg.btsr"
 
 
 def test_output_flag_resolves_against_cwd(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
     monkeypatch.chdir(tmp_path / "..")
     cfg = load_config(path, output="elsewhere")
-    assert cfg.output.name == "elsewhere"
-    assert not cfg.output.is_absolute()
+    assert cfg["paths"]["output"].name == "elsewhere"
+    assert not cfg["paths"]["output"].is_absolute()
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -179,8 +186,8 @@ def test_malformed_json_names_offset(tmp_path):
 def test_set_overrides_and_validates(tmp_path):
     path = _write_config(tmp_path)
     cfg = load_config(path, sets=["lambda_grid.n=6", "solver=iterative"])
-    assert cfg.grid_n == 6
-    assert cfg.solver == "iterative"
+    assert cfg["lambda_grid"]["n"] == 6
+    assert cfg["solver"] == "iterative"
     with pytest.raises(ConfigError, match="no.such"):
         load_config(path, sets=["no.such=1"])
     with pytest.raises(ConfigError, match="key=value"):
@@ -189,8 +196,8 @@ def test_set_overrides_and_validates(tmp_path):
 
 def test_seed_flag_wins(tmp_path):
     path = _write_config(tmp_path, {"seed": 5})
-    assert load_config(path).seed == 5
-    assert load_config(path, seed=9).seed == 9
+    assert load_config(path)["seed"] == 5
+    assert load_config(path, seed=9)["seed"] == 9
 
 
 def test_split_segments_holds_out_trailing_fraction():
@@ -354,6 +361,17 @@ def test_config_error_exits_2_before_writing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_output_flag_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    config = _write_config(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert _run("synth", "--config", str(config), "--output", "") == 2
+    assert "--output" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_2(tmp_path):
     assert _run("synth", "--config", str(tmp_path / "absent.json")) == 2
 
@@ -391,6 +409,48 @@ def test_evaluate_refuses_segments_fit_did_not_hold_out(tmp_path, capsys):
     assert "sub00_cv.json" in capsys.readouterr().err
     cv_path.write_text(json.dumps(cv))
     assert _run("evaluate", "--config", str(config), "--set", "test_fraction=0.2") == 0
+
+
+# Each setting takes few values, so that a second draw often yields the
+# same held-out record as the first.
+_SPLIT_SETTINGS = {
+    "n_segments": st.integers(2, 12),
+    "test_fraction": st.sampled_from([0.1, 0.2, 0.25, 0.5]),
+    "window_s": st.sampled_from([1.0, 1.5, 2.0]),
+    "overlap": st.sampled_from([0.0, 0.1, 0.2]),
+    "lags": st.sampled_from([(-0.1, 0.3), (-0.1, 0.5), (0.0, 0.3)]),
+}
+
+
+def _heldout_for(draw):
+    """The record fit writes for one recording cut into draw["n_segments"] windows."""
+    fs_hz = 10.0
+    n = round(draw["n_segments"] * draw["window_s"] * fs_hz)
+    rec = EegRecording(data=np.zeros((1, n)), fs_hz=fs_hz, channel_names=["c0"], subject_id="sub00")
+    segs = segment(FeatureSeries(np.zeros((n, 1)), fs_hz), rec, draw["window_s"], draw["overlap"])
+    _, test = split_segments(segs.subset(range(draw["n_segments"])), draw["test_fraction"])
+    tmin_s, tmax_s = draw["lags"]
+    cfg = {"window_s": draw["window_s"], "overlap": draw["overlap"],
+           "lags": {"tmin_s": tmin_s, "tmax_s": tmax_s}}
+    return _heldout_record(cfg, test)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(_SPLIT_SETTINGS), st.data())
+def test_evaluate_refuses_exactly_the_splits_fit_did_not_record(first, data):
+    redrawn = data.draw(st.sets(st.sampled_from(sorted(_SPLIT_SETTINGS))))
+    second = {**first, **{key: data.draw(_SPLIT_SETTINGS[key]) for key in sorted(redrawn)}}
+    fitted = json.loads(json.dumps(_heldout_for(first)))  # as evaluate reads <sid>_cv.json
+    now = _heldout_for(second)
+    try:
+        _check_heldout("sub00", {"heldout": fitted}, now)
+        refused = False
+    except ValidationError as e:
+        assert "sub00" in str(e)
+        refused = True
+    assert refused == (fitted != now)
+    if any(first[key] != second[key] for key in ("window_s", "overlap", "lags")):
+        assert refused
 
 
 def test_import_leaves_scipy_stats_and_spatial_unloaded():
