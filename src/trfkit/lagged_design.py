@@ -15,7 +15,6 @@ samples alone, and the model fitting code works on that form.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from ._util import round_half_up
 from .errors import PreconditionError
@@ -120,7 +119,7 @@ def build_lagged_matrix(x: FeatureSeries, spec: LagSpec) -> DesignMatrix:
     return DesignMatrix(data=out, lag_spec=spec, n_features=D)
 
 
-def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> scipy.sparse.csr_array:
+def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> "scipy.sparse.csr_array":
     """The lagged design of build_lagged_matrix as a CSR array.
 
     Built from the non-zero samples alone: sample x[t, i] lands at row
@@ -128,6 +127,8 @@ def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> scipy.sparse.csr_array:
     inside the series. The stored entries are exactly the non-zero
     entries of the dense design, so `.toarray()` equals it.
     """
+    import scipy.sparse
+
     if x.fs_hz != spec.fs_hz:
         raise PreconditionError(
             f"sampling rates differ: series {x.fs_hz} vs lag spec {spec.fs_hz}"

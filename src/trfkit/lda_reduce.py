@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PreconditionError, ValidationError
 from .tensorio import read_tensor, write_tensor
@@ -109,6 +108,8 @@ def fit_lda(vectors, labels, n_components: int) -> LdaModel:
         Requested basis size; clamped to min(n_components, C - 1, D)
         with a ComponentClampWarning when that bites.
     """
+    import scipy.linalg
+
     vectors = np.asarray(vectors, dtype=np.float64)
     if n_components < 1:
         raise PreconditionError(f"n_components must be >= 1, got {n_components}")
@@ -180,9 +181,7 @@ def separation_report(model: LdaModel, vectors, labels) -> list[SeparationScore]
     each class and the distance from its centroid to the nearest other
     class centroid. Well-separated data has within << between.
     """
-    # imported on first use: at module level, scipy.spatial's import time
-    # would be paid by every CLI command, and only this function needs it
-    import scipy.spatial.distance
+    import scipy.spatial.distance  # on first use: see the scipy rule in README's module map
 
     vectors = np.asarray(vectors, dtype=np.float64)
     classes, members = _class_partition(vectors, labels)

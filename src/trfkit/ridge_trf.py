@@ -21,11 +21,10 @@ penalty costs one O(P) tridiagonal solve (Golub & Van Loan, Matrix
 Computations, 4th ed., section 8.3.1).
 """
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from ._util import correlate, round_half_up, scaled_columns
 from .errors import (
@@ -151,6 +150,8 @@ def _not_positive_definite(lam: float) -> Exception:
 
 
 def _solve_gram(XtX: np.ndarray, XtY: np.ndarray, lam: float) -> np.ndarray:
+    import scipy.linalg
+
     A = XtX.copy()
     A[np.diag_indices_from(A)] += lam
     try:
@@ -162,6 +163,8 @@ def _solve_gram(XtX: np.ndarray, XtY: np.ndarray, lam: float) -> np.ndarray:
 
 def _apply_q(trans: str, reflectors: np.ndarray, tau: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Q' C (trans "N") or Q'^T C (trans "T") for QR-stored Householder reflectors."""
+    import scipy.linalg
+
     ormqr = scipy.linalg.lapack.dormqr
     lwork = int(ormqr("L", trans, reflectors, tau, C, -1)[1][0])
     return ormqr("L", trans, reflectors, tau, C, lwork, overwrite_c=1)[0]
@@ -176,6 +179,8 @@ def _ridge_path(XtX: np.ndarray, XtY: np.ndarray, grid) -> np.ndarray:
     the weights for grid[g] are columns g*E to (g+1)*E. XtX is overwritten,
     so pass a copy to keep it. Failures raise as _solve_gram's do.
     """
+    import scipy.linalg
+
     P, E = XtY.shape
     if P == 1:  # nothing to reduce, and dptsv takes no empty subdiagonal
         return np.hstack([_solve_gram(XtX, XtY, lam) for lam in grid])
@@ -289,8 +294,15 @@ def fit_iterative(
 
 
 def predict(weights: np.ndarray, X) -> np.ndarray:
-    """Linear response prediction X @ W for a design matrix or raw array."""
-    Xd = X.data if isinstance(X, DesignMatrix) else np.asarray(X, dtype=np.float64)
+    """Linear response prediction X @ W for a design matrix, CSR design or raw array."""
+    # a sparse X implies scipy.sparse is loaded, so dense input never loads it
+    sparse = sys.modules.get("scipy.sparse")
+    if isinstance(X, DesignMatrix):
+        Xd = X.data
+    elif sparse is not None and sparse.issparse(X):
+        Xd = X
+    else:
+        Xd = np.asarray(X, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if Xd.ndim != 2 or weights.ndim != 2:
         raise PreconditionError("predict expects 2-D design and weight matrices")
@@ -346,6 +358,8 @@ def pick_best_lambda(grid, mean_scores) -> float:
 
 def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
     """CSR design and response of the given segments, stacked in order."""
+    import scipy.sparse
+
     xs, ys = [], []
     for i in indices:
         seg = segments.segments[i]

@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from ._util import correlate, scaled_columns
 from .errors import PreconditionError, ValidationError
@@ -114,6 +113,8 @@ def pearson_r(x, y) -> float:
 
 def r_to_p(r: float, n: int) -> float:
     """Two-sided p-value of a Pearson correlation over n samples."""
+    import scipy.special
+
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
     if not (-1.0 <= r <= 1.0):
@@ -128,6 +129,8 @@ def r_to_p(r: float, n: int) -> float:
 
 def fisher_combine(pvalues) -> tuple[float, int, float]:
     """Fisher's method: returns (statistic, df, combined p)."""
+    import scipy.special
+
     pvalues = [float(p) for p in pvalues]
     if not pvalues:
         raise PreconditionError("need at least one p-value")

@@ -453,18 +453,82 @@ def test_evaluate_refuses_exactly_the_splits_fit_did_not_record(first, data):
         assert refused
 
 
-def test_import_leaves_scipy_stats_and_spatial_unloaded():
-    # every command pays for what `import trfkit.cli` loads
+def _loaded_after(statement: str, modules) -> str:
+    """Code that runs statement, then prints which of modules are loaded."""
+    return f"import sys; {statement}; print([m for m in {modules!r} if m in sys.modules])"
+
+
+# argv[1] is the config, argv[2] the synthesised recording
+_MAIN = "from trfkit.cli import main; assert main({}) == 0"
+
+
+@pytest.mark.parametrize(
+    "before, code",
+    [
+        # every command pays for what `import trfkit.cli` loads
+        pytest.param(
+            (),
+            "import sys, trfkit.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules])",
+            id="cli_stats_spatial",
+        ),
+        # scipy is loaded on first use, so a command loads only the scipy it calls
+        pytest.param((), _loaded_after("import trfkit", ("scipy",)), id="package"),
+        pytest.param((), _loaded_after("import trfkit.cli", ("scipy",)), id="cli"),
+        pytest.param(
+            (),
+            _loaded_after(
+                "import numpy as np; from trfkit.ridge_trf import predict; "
+                "predict(np.ones((2, 1)), np.ones((3, 2)))",
+                ("scipy",),
+            ),
+            id="predict_dense",
+        ),
+        pytest.param(
+            (),
+            _loaded_after(_MAIN.format("['synth', '--config', sys.argv[1]]"), ("scipy",)),
+            id="synth",
+        ),
+        pytest.param(
+            ("synth",),
+            _loaded_after(_MAIN.format("['inspect', sys.argv[2]]"), ("scipy",)),
+            id="inspect",
+        ),
+        pytest.param(
+            ("synth",),
+            _loaded_after(_MAIN.format("['fit', '--config', sys.argv[1]]"), ("scipy.special",)),
+            id="fit",
+        ),
+        pytest.param(
+            ("synth", "fit"),
+            _loaded_after(
+                _MAIN.format("['evaluate', '--config', sys.argv[1]]"), ("scipy.linalg",)
+            ),
+            id="evaluate",
+        ),
+    ],
+)
+def test_scipy_stays_unloaded_until_used(tmp_path, before, code):
     import subprocess
     import sys
 
-    code = (
-        "import sys, trfkit.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules])"
+    config = _write_config(tmp_path)
+    for command in before:
+        assert _run(command, "--config", str(config)) == 0
+    eeg = tmp_path / "out" / "sub00_eeg.btsr"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(eeg)], capture_output=True, text=True
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2_before_reading_input(tmp_path, capsys, workers):
+    absent = tmp_path / "absent.json"  # read first, it would fail with another message
+    for command in ("fit", "evaluate"):
+        assert _run(command, "--config", str(absent), "--workers", workers) == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_evaluate_without_fit_exits_2(tmp_path, capsys):

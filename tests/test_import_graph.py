@@ -1,4 +1,4 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and scipy only on first use."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -20,7 +20,7 @@ def _sibling_imports(path: Path, modules: set) -> set:
                 found.add(node.module.split(".")[0])
             else:  # from . import name: a submodule, or a name the package defines
                 found.update(a.name if a.name in modules else "__init__" for a in node.names)
-    return found
+    return sorted(found)
 
 
 def test_package_import_graph_has_no_cycle():
@@ -31,3 +31,30 @@ def test_package_import_graph_has_no_cycle():
         TopologicalSorter(graph).prepare()
     except CycleError as e:
         pytest.fail("import cycle: " + " -> ".join(e.args[1]))
+
+
+def _scipy_imports(path: Path) -> list:
+    """(line, inside a function body) for each import of scipy in path."""
+    found = []
+    todo = [(node, False) for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    while todo:
+        node, inside = todo.pop()
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append((node.lineno, inside))
+        inside = inside or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        todo.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # a module-level import would make every command, scipy user or not, pay for it
+    found = {p.name: _scipy_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert any(inside for _, inside in found["lda_reduce.py"])  # the walk sees function bodies
+    top = [f"{name}:{line}" for name, imports in found.items() for line, inside in imports if not inside]
+    assert not top, "scipy imported outside a function body: " + ", ".join(top)

@@ -12,7 +12,7 @@ from trfkit.errors import (
     PreconditionError,
     SingularSystemError,
 )
-from trfkit.lagged_design import LagSpec, build_lagged_matrix
+from trfkit.lagged_design import LagSpec, build_lagged_csr, build_lagged_matrix
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
 from trfkit.ridge_trf import (
     CvReport,
@@ -318,6 +318,24 @@ def test_predict_is_matrix_product():
 def test_predict_rejects_width_mismatch():
     with pytest.raises(PreconditionError):
         predict(np.zeros((4, 1)), np.zeros((10, 3)))
+
+
+def test_predict_on_csr_design_matches_dense_design():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(60, 3))
+    x[rng.random(x.shape) >= 0.2] = 0.0
+    series = FeatureSeries(data=x, fs_hz=100.0)
+    spec = _lag_spec(range(-2, 5))
+    W = rng.normal(size=(3 * spec.n_lags, 2))
+    dense = build_lagged_matrix(series, spec)
+    sparse = build_lagged_csr(series, spec)
+    got = predict(W, sparse)
+    assert isinstance(got, np.ndarray) and got.shape == (60, 2)
+    # the two products sum the same terms in different orders
+    bound = W.shape[0] * np.finfo(np.float64).eps * (np.abs(dense.data) @ np.abs(W))
+    assert np.all(np.abs(got - predict(W, dense)) <= bound)
+    with pytest.raises(PreconditionError):
+        predict(W[:-1], sparse)
 
 
 # ---------------------------------------------------------------------------
