@@ -1,4 +1,4 @@
-"""Small internal helpers."""
+"""Small internal helpers, and the one table of JSON kinds that config and BTSR readers share."""
 
 import math
 
@@ -15,6 +15,46 @@ def round_half_up(x: float) -> int:
     the half-integer boundary and locale/platform independent.
     """
     return math.floor(x + 0.5)
+
+
+def _finite_float(value):
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _float_list(value):
+    if type(value) is not list:
+        return None
+    floats = [_finite_float(v) for v in value]
+    return None if None in floats else floats
+
+
+def _float_rows(value):
+    if type(value) is not list:
+        return None
+    rows = [_float_list(row) for row in value]
+    return None if None in rows or len({len(row) for row in rows}) > 1 else rows
+
+
+# One checker per kind: it returns the value the pipeline uses, or None when
+# the JSON value has the wrong type. Booleans are not numbers here.
+JSON_KINDS = {
+    "int": ("an integer", lambda v: v if type(v) is int else None),
+    "float": ("a finite number", _finite_float),
+    "str": ("a string", lambda v: v if type(v) is str else None),
+    "bool": ("a boolean", lambda v: v if type(v) is bool else None),
+    "str list": (
+        "a list of strings",
+        lambda v: v if type(v) is list and all(type(s) is str for s in v) else None,
+    ),
+    "float list": ("a list of finite numbers", _float_list),
+    "float rows": ("a list of equal-length lists of finite numbers", _float_rows),
+}
 
 
 def scaled_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

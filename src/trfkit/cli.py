@@ -16,7 +16,6 @@ error, 4 numerical failure.
 import argparse
 import copy
 import json
-import math
 import os
 import shutil
 import sys
@@ -25,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ._util import round_half_up
+from ._util import JSON_KINDS, round_half_up
 from .errors import (
     ConfigError,
     FormatError,
@@ -94,29 +93,6 @@ DEFAULT_CONFIG = {
     },
 }
 
-
-def _finite_float(value):
-    if type(value) not in (int, float):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return value if math.isfinite(value) else None
-
-
-# One checker per kind: it returns the value the pipeline uses, or None when
-# the JSON value has the wrong type. Booleans are not numbers here.
-_KINDS = {
-    "int": ("an integer", lambda v: v if type(v) is int else None),
-    "float": ("a finite number", _finite_float),
-    "str": ("a string", lambda v: v if type(v) is str else None),
-    "bool": ("a boolean", lambda v: v if type(v) is bool else None),
-    "str list": (
-        "a list of strings",
-        lambda v: v if type(v) is list and all(type(s) is str for s in v) else None,
-    ),
-}
 
 # Range rules, keyed by the text that error messages show.
 _RULES = {
@@ -207,7 +183,7 @@ def _validate(cfg: dict) -> None:
         node = cfg
         for key in sections:
             node = node[key]
-        kind_text, convert = _KINDS[kind]
+        kind_text, convert = JSON_KINDS[kind]
         value = convert(node[leaf])
         if value is None or not _RULES[rule](value):
             raise ConfigError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .tensorio import read_tensor, write_tensor
+from .tensorio import _read_checked, write_tensor
 
 __all__ = [
     "SCATTER_RIDGE_EPS",
@@ -226,21 +226,11 @@ def write_lda(path, model: LdaModel) -> None:
 
 
 def read_lda(path) -> LdaModel:
-    tf = read_tensor(path)
-    if len(tf.shape) != 2:
-        raise ValidationError(f"{path}: projection tensors are 2-D, got shape {tf.shape}")
-    meta = tf.meta
-    for key in ("class_labels", "eigenvalues", "class_means", "n_components"):
-        if key not in meta:
-            raise ValidationError(f"{path}: meta is missing required key {key!r}")
+    projection, meta = _read_checked(path, 2, {
+        "class_labels": "str list", "eigenvalues": "float list", "class_means": "float rows",
+        "n_components": "int", "requested_components": "int",
+    })
     try:
-        return LdaModel(
-            projection=tf.tensor(),
-            class_labels=[str(c) for c in meta["class_labels"]],
-            class_means=np.array(meta["class_means"], dtype=np.float64),
-            n_components=int(meta["n_components"]),
-            eigenvalues=np.array(meta["eigenvalues"], dtype=np.float64),
-            requested_components=int(meta.get("requested_components", meta["n_components"])),
-        )
+        return LdaModel(projection=projection, **meta)
     except PreconditionError as e:
         raise ValidationError(f"{path}: {e}") from None

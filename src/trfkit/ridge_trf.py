@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lagged_design import DesignMatrix, LagSpec, build_lagged_csr
 from .preprocess import FeatureSeries, SegmentSet
-from .tensorio import read_tensor, write_tensor
+from .tensorio import _read_checked, write_tensor
 
 __all__ = [
     "KERNEL_UNITS",
@@ -508,45 +508,29 @@ def write_trf(path, model: TrfModel) -> None:
 
 
 def read_trf(path) -> TrfModel:
-    tf = read_tensor(path)
-    if len(tf.shape) != 3:
-        raise ValidationError(f"{path}: kernel tensors are 3-D, got shape {tf.shape}")
-    meta = tf.meta
-    for key in ("lag_times_s", "channel_names", "lambda"):
-        if key not in meta:
-            raise ValidationError(f"{path}: meta is missing required key {key!r}")
-    lag_times = meta["lag_times_s"]
-    names = meta["channel_names"]
-    if len(lag_times) != tf.shape[0]:
-        raise ValidationError(
-            f"{path}: {len(lag_times)} lag times for {tf.shape[0]} kernel lags"
-        )
-    if len(names) != tf.shape[1]:
-        raise ValidationError(
-            f"{path}: {len(names)} channel names for {tf.shape[1]} kernel channels"
-        )
-    if "fs_hz" in meta:
-        fs = float(meta["fs_hz"])
-    elif len(lag_times) > 1:
-        fs = 1.0 / (lag_times[1] - lag_times[0])
-    else:
-        raise ValidationError(f"{path}: cannot infer fs_hz from a single lag")
-    lag_samples = [round_half_up(t * fs) for t in lag_times]
-    if lag_samples != list(range(lag_samples[0], lag_samples[0] + len(lag_samples))):
+    kernel, meta = _read_checked(path, 3, {
+        "lag_times_s": "float list", "channel_names": "str list", "lambda": "float",
+        "fs_hz": "float", "units": "str",
+    })
+    fs = meta["fs_hz"]
+    if not fs > 0:
+        raise ValidationError(f"{path}: fs_hz must be positive, got {fs}")
+    try:
+        lag_samples = [round_half_up(t * fs) for t in meta["lag_times_s"]]
+    except OverflowError:  # t * fs beyond the float range
+        lag_samples = []
+    if not lag_samples or lag_samples != list(range(lag_samples[0], lag_samples[-1] + 1)):
         raise ValidationError(f"{path}: lag times do not form a contiguous range at fs={fs}")
     tmin = lag_samples[0] / fs
     tmax = lag_samples[-1] / fs if len(lag_samples) > 1 else tmin + 0.25 / fs
     try:
         spec = LagSpec(tmin_s=tmin, tmax_s=tmax, fs_hz=fs, lag_samples=lag_samples)
-    except PreconditionError as e:
-        raise ValidationError(f"{path}: {e}") from None
-    try:
         return TrfModel(
-            kernel=tf.tensor(),
+            kernel=kernel,
             lag_spec=spec,
-            channel_names=[str(n) for n in names],
-            lam=float(meta["lambda"]),
-            units=str(meta.get("units", KERNEL_UNITS)),
+            channel_names=meta["channel_names"],
+            lam=meta["lambda"],
+            units=meta["units"],
         )
     except PreconditionError as e:
         raise ValidationError(f"{path}: {e}") from None

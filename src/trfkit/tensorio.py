@@ -16,16 +16,18 @@ and channel layouts as CSV with the header ``name,x,y``. All numeric
 parsing uses '.' as the decimal separator regardless of locale.
 
 Malformed bytes raise FormatError; well-formed files whose content breaks
-a semantic rule (shape mismatch, missing meta key, decreasing onsets)
-raise ValidationError. Both are ordinary catchable exceptions.
+a semantic rule (shape mismatch, a missing or wrong-kind meta key,
+decreasing onsets) raise ValidationError. Both are ordinary catchable exceptions.
 """
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._util import JSON_KINDS
 from .errors import FormatError, ValidationError
 
 __all__ = [
@@ -275,7 +277,7 @@ def read_tensor(path) -> TensorFile:
         raise ValidationError(f"{path}: meta must be a JSON object, got {type(meta).__name__}")
 
     np_dtype = _DTYPES[dtype_tag]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)
     expected = count * np_dtype.itemsize
     n_bytes = len(raw) - offset
     if n_bytes != expected:
@@ -294,7 +296,7 @@ def write_tensor(path, dtype: str, shape, meta: dict, values) -> None:
     if any(s < 0 for s in shape):
         raise ValidationError(f"shape entries must be nonnegative, got {shape}")
     flat = np.ascontiguousarray(values, dtype=_DTYPES[dtype]).ravel()
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)
     if flat.size != count:
         raise ValidationError(f"{flat.size} values do not fill shape {shape} ({count} expected)")
     header = {"magic": MAGIC, "dtype": dtype, "shape": shape, "meta": meta}
@@ -304,10 +306,23 @@ def write_tensor(path, dtype: str, shape, meta: dict, values) -> None:
         fh.write(flat.tobytes())
 
 
-def _require_meta(meta: dict, key: str, path) -> object:
-    if key not in meta:
-        raise ValidationError(f"{path}: meta is missing required key {key!r}")
-    return meta[key]
+def _read_checked(path, rank: int, kinds: dict[str, str]) -> tuple[np.ndarray, dict]:
+    """The tensor of a BTSR file of the given rank, and its meta keys converted by kind.
+
+    `kinds` maps each required meta key to a JSON_KINDS name. A wrong rank,
+    a missing key or a value of the wrong kind raises ValidationError.
+    """
+    tf = read_tensor(path)
+    if len(tf.shape) != rank:
+        raise ValidationError(f"{path}: expected a {rank}-D tensor, got shape {tf.shape}")
+    meta = {}
+    for key, kind in kinds.items():
+        kind_text, convert = JSON_KINDS[kind]
+        meta[key] = convert(tf.meta.get(key))  # every kind rejects None
+        if meta[key] is None:
+            got = json.dumps(tf.meta[key]) if key in tf.meta else "nothing: the key is missing"
+            raise ValidationError(f"{path}: meta key {key!r} must be {kind_text}, got {got}")
+    return tf.tensor(), meta
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +339,11 @@ def write_eeg(path, rec: EegRecording, dtype: str = "f64") -> None:
 
 
 def read_eeg(path) -> EegRecording:
-    tf = read_tensor(path)
-    if len(tf.shape) != 2:
-        raise ValidationError(f"{path}: EEG tensors are 2-D, got shape {tf.shape}")
-    fs = _require_meta(tf.meta, "fs_hz", path)
-    names = _require_meta(tf.meta, "channel_names", path)
-    subject = _require_meta(tf.meta, "subject_id", path)
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValidationError(f"{path}: channel_names must be a list of strings")
+    data, meta = _read_checked(path, 2, {
+        "fs_hz": "float", "channel_names": "str list", "subject_id": "str",
+    })
     try:
-        return EegRecording(
-            data=tf.tensor(),
-            fs_hz=float(fs),
-            channel_names=list(names),
-            subject_id=str(subject),
-        )
+        return EegRecording(data=data, **meta)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
@@ -439,6 +444,8 @@ def read_channel_layout(path) -> ChannelLayout:
             x, y = float(xs), float(ys)
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-numeric coordinate") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"{path}: line {lineno}: channel {name!r}: non-finite coordinate")
         entries.append(LayoutEntry(name=name, x=x, y=y))
     try:
         return ChannelLayout(entries=entries)

@@ -19,7 +19,7 @@ from trfkit.errors import ConfigError, PreconditionError, ValidationError
 from trfkit.lda_reduce import ComponentClampWarning
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet, segment
 from trfkit.ridge_trf import read_trf
-from trfkit.tensorio import EegRecording, read_eeg, read_word_events
+from trfkit.tensorio import EegRecording, read_eeg, read_tensor, read_word_events, write_tensor
 
 FAST_CONFIG = {
     "paths": {
@@ -538,6 +538,20 @@ def test_evaluate_without_fit_exits_2(tmp_path, capsys):
     assert code == 2
     assert "sub00" in capsys.readouterr().err
     assert not (tmp_path / "out" / "group_eval.json").exists()
+
+
+def test_kernel_with_wrong_kind_lambda_exits_2_with_one_error_line(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config)) == 0
+    kernel = tmp_path / "out" / "sub00_trf.btsr"
+    tf = read_tensor(kernel)
+    write_tensor(kernel, tf.dtype, tf.shape, {**tf.meta, "lambda": "x"}, tf.values)
+    capsys.readouterr()
+    assert _run("evaluate", "--config", str(config)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "sub00_trf.btsr" in err[0] and "'lambda'" in err[0]
 
 
 def test_divergence_exits_4(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trfkit.errors import PreconditionError
 from trfkit.lda_reduce import (
@@ -212,3 +215,31 @@ def test_roundtrip_through_file(tmp_path):
     assert not back.clamped
     assert np.allclose(back.class_means, model.class_means, atol=0)
     assert np.allclose(back.eigenvalues, model.eigenvalues, atol=0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_lda_file_roundtrip_property(tmp_path, data):
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, d))
+    labels = data.draw(st.lists(st.text(max_size=4), min_size=2, max_size=6, unique=True))
+    model = LdaModel(
+        projection=data.draw(arrays(np.float64, (d, k), elements=_FINITE)),
+        class_labels=labels,
+        class_means=data.draw(arrays(np.float64, (len(labels), d), elements=_FINITE)),
+        n_components=k,
+        eigenvalues=data.draw(arrays(np.float64, (k,), elements=_FINITE)),
+        requested_components=data.draw(st.integers(k, k + 3)),
+    )
+    path = tmp_path / "lda.btsr"  # the same file every example
+    write_lda(path, model)
+    back = read_lda(path)
+    assert back.projection.tobytes() == model.projection.tobytes()
+    assert back.class_labels == labels
+    assert back.class_means.tobytes() == model.class_means.tobytes()
+    assert back.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+    assert back.n_components == k
+    assert back.requested_components == model.requested_components

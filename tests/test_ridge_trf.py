@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trfkit.errors import (
@@ -11,6 +11,7 @@ from trfkit.errors import (
     NumericalError,
     PreconditionError,
     SingularSystemError,
+    ValidationError,
 )
 from trfkit.lagged_design import LagSpec, build_lagged_csr, build_lagged_matrix
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
@@ -33,6 +34,7 @@ from trfkit.ridge_trf import (
     write_trf,
 )
 from trfkit.stats_eval import mean_channel_r
+from trfkit.tensorio import write_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +528,52 @@ def test_trf_file_roundtrip(tmp_path):
     assert back.lag_spec.fs_hz == spec.fs_hz
     assert back.channel_names == ["Fz", "Cz"]
     assert back.lam == 0.25
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    fs=st.sampled_from([44.1, 64.0, 100.0, 128.0, 250.0, 512.0, 1000.0]),
+    first=st.integers(-200, 80),
+    n_lags=st.integers(1, 120),
+    data=st.data(),
+)
+def test_trf_file_roundtrip_property(tmp_path, fs, first, n_lags, data):
+    n_channels = data.draw(st.integers(1, 3))
+    names = data.draw(st.lists(st.text(max_size=4), min_size=n_channels, max_size=n_channels))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = TrfModel(
+        kernel=rng.normal(size=(n_lags, n_channels, data.draw(st.integers(1, 3)))),
+        lag_spec=_lag_spec(range(first, first + n_lags), fs=fs),
+        channel_names=names,
+        lam=data.draw(st.floats(0.0, 1e12)),
+        units=data.draw(st.text(max_size=12)),
+    )
+    path = tmp_path / "model_trf.btsr"  # the same file every example
+    write_trf(path, model)
+    back = read_trf(path)
+    assert back.kernel.tobytes() == model.kernel.tobytes()
+    assert back.lag_spec.lag_samples == model.lag_spec.lag_samples
+    assert back.lag_spec.fs_hz == fs
+    assert back.channel_names == names
+    assert back.lam == model.lam
+    assert back.units == model.units
+
+
+@pytest.mark.parametrize(
+    "n_lags, lag_times, fs, message",
+    [
+        (1, [0.0], 0, "fs_hz must be positive"),
+        (1, [1e300], 1e10, "contiguous range"),
+        (0, [], 10.0, "contiguous range"),
+    ],
+)
+def test_kernel_lag_grid_that_cannot_be_rebuilt_is_rejected(tmp_path, n_lags, lag_times, fs, message):
+    path = tmp_path / "model_trf.btsr"
+    meta = {"lag_times_s": lag_times, "channel_names": ["a"], "lambda": 1.0,
+            "fs_hz": fs, "units": "u"}
+    write_tensor(path, "f64", [n_lags, 1, 1], meta, np.zeros(n_lags))
+    with pytest.raises(ValidationError, match=message):
+        read_trf(path)
 
 
 def test_cv_rejects_degenerate_targets():

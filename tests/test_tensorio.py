@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trfkit.errors import FormatError, ValidationError
+from trfkit.lagged_design import LagSpec
+from trfkit.lda_reduce import LdaModel, read_lda, write_lda
+from trfkit.ridge_trf import TrfModel, read_trf, write_trf
 from trfkit.tensorio import (
     ChannelLayout,
     EegRecording,
@@ -109,6 +112,19 @@ def test_payload_shape_mismatch_is_validation_error(tmp_path):
         read_tensor(path)
 
 
+def test_huge_shape_with_empty_payload_is_a_size_mismatch(tmp_path):
+    # 2**62 * 4 wraps to 0 in int64 arithmetic, which an empty payload would match
+    path = tmp_path / "huge.btsr"
+    meta = {"fs_hz": 10.0, "channel_names": ["a"], "subject_id": "x"}
+    header = {"magic": "BTSR1", "dtype": "f64", "shape": [2**62, 4], "meta": meta}
+    path.write_bytes(json.dumps(header).encode() + b"\n")
+    for read in (read_tensor, read_eeg):
+        with pytest.raises(ValidationError, match=r"payload holds 0 values .* requires 18446744073709551616"):
+            read(path)
+    with pytest.raises(ValidationError, match="do not fill shape"):
+        write_tensor(path, "f64", [2**62, 4], {}, np.zeros(0))
+
+
 def test_read_tensor_header_only(tmp_path):
     path = tmp_path / "t.btsr"
     write_tensor(path, "f32", [3], {"tag": 1}, np.zeros(3, dtype=np.float32))
@@ -152,6 +168,80 @@ def test_eeg_missing_meta_key_names_it(tmp_path):
     write_tensor(path, "f64", [1, 2], {"channel_names": ["a"], "subject_id": "x"}, np.zeros(2))
     with pytest.raises(ValidationError, match="fs_hz"):
         read_eeg(path)
+
+
+def _write_eeg_file(path):
+    write_eeg(path, EegRecording(np.zeros((2, 3)), 10.0, ["a", "b"], "s01"))
+
+
+def _write_trf_file(path):
+    spec = LagSpec(tmin_s=-0.1, tmax_s=0.2, fs_hz=10.0, lag_samples=[-1, 0, 1, 2])
+    write_trf(path, TrfModel(np.zeros((4, 2, 1)), spec, ["a", "b"], lam=1.0))
+
+
+def _write_lda_file(path):
+    write_lda(path, LdaModel(np.eye(2, 1), ["p", "q"], np.zeros((2, 2)), 1, np.ones(1), 1))
+
+
+# Each reader's required meta keys, with the kind each one takes.
+_READERS = {
+    "eeg": (read_eeg, _write_eeg_file,
+            {"fs_hz": "number", "channel_names": "str list", "subject_id": "str"}),
+    "trf": (read_trf, _write_trf_file,
+            {"lag_times_s": "number list", "channel_names": "str list", "lambda": "number",
+             "fs_hz": "number", "units": "str"}),
+    "lda": (read_lda, _write_lda_file,
+            {"class_labels": "str list", "eigenvalues": "number list",
+             "class_means": "number rows", "n_components": "int",
+             "requested_components": "int"}),
+}
+
+# JSON values, each with the kinds that accept it.
+_JSON_SAMPLES = [
+    (True, ()),
+    (None, ()),
+    ("x", ("str",)),
+    (5, ("int", "number")),
+    (2.5, ("number",)),
+    (float("nan"), ()),
+    (float("inf"), ()),
+    ({}, ()),
+    (["a"], ("str list",)),
+    ([1.5], ("number list",)),
+    ([True], ()),
+    (["a", 1.5], ()),
+    ([[1.5]], ("number rows",)),
+    ([[1.5], [2.5, 3.5]], ()),
+]
+
+
+def _rewrite_meta(path, key, value=None, drop=False):
+    """Replace or drop one meta key, keeping the payload (NaN written as JSON NaN)."""
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    if drop:
+        del header["meta"][key]
+    else:
+        header["meta"][key] = value
+    path.write_bytes(json.dumps(header).encode() + raw[nl:])
+
+
+@pytest.mark.parametrize(
+    "reader, key", [(r, k) for r, (_, _, kinds) in _READERS.items() for k in kinds]
+)
+def test_missing_or_wrong_kind_meta_key_names_file_and_key(tmp_path, reader, key):
+    read, write, kinds = _READERS[reader]
+    path = tmp_path / f"{reader}.btsr"
+    write(path)
+    read(path)  # the untouched file reads
+    bad = [value for value, accepted_by in _JSON_SAMPLES if kinds[key] not in accepted_by]
+    for value, drop in [(None, True)] + [(v, False) for v in bad]:
+        write(path)
+        _rewrite_meta(path, key, value, drop)
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(path) in str(err.value) and repr(key) in str(err.value), (value, drop)
 
 
 def test_eeg_channel_name_count_mismatch(tmp_path):
@@ -297,6 +387,14 @@ def test_layout_non_numeric_coordinate_names_line(tmp_path):
     path = tmp_path / "layout.csv"
     path.write_text("name,x,y\nFz,0,1\nCz,left,0\n", encoding="utf-8")
     with pytest.raises(FormatError, match="line 3"):
+        read_channel_layout(path)
+
+
+@pytest.mark.parametrize("coords", ["nan,0.5", "0.5,inf", "-inf,0", "1e999,0"])
+def test_layout_non_finite_coordinate_names_line_and_channel(tmp_path, coords):
+    path = tmp_path / "layout.csv"
+    path.write_text(f"name,x,y\nC00,0,1\nC01,{coords}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"layout\.csv: line 3: channel 'C01': non-finite"):
         read_channel_layout(path)
 
 
