@@ -502,7 +502,7 @@ def write_trf(path, model: TrfModel) -> None:
         "channel_names": list(model.channel_names),
         "lambda": float(model.lam),
         "fs_hz": float(model.lag_spec.fs_hz),
-        "units": model.units,
+        "units": str(model.units),
     }
     write_tensor(path, "f64", list(model.kernel.shape), meta, model.kernel)
 
@@ -519,7 +519,9 @@ def read_trf(path) -> TrfModel:
         lag_samples = [round_half_up(t * fs) for t in meta["lag_times_s"]]
     except OverflowError:  # t * fs beyond the float range
         lag_samples = []
-    if not lag_samples or lag_samples != list(range(lag_samples[0], lag_samples[-1] + 1)):
+    if not lag_samples or lag_samples != list(
+        range(lag_samples[0], lag_samples[0] + len(lag_samples))
+    ):
         raise ValidationError(f"{path}: lag times do not form a contiguous range at fs={fs}")
     tmin = lag_samples[0] / fs
     tmax = lag_samples[-1] / fs if len(lag_samples) > 1 else tmin + 0.25 / fs

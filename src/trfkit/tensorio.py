@@ -333,7 +333,7 @@ def write_eeg(path, rec: EegRecording, dtype: str = "f64") -> None:
     meta = {
         "fs_hz": float(rec.fs_hz),
         "channel_names": list(rec.channel_names),
-        "subject_id": rec.subject_id,
+        "subject_id": str(rec.subject_id),
     }
     write_tensor(path, dtype, list(rec.data.shape), meta, rec.data)
 

@@ -565,6 +565,8 @@ def test_trf_file_roundtrip_property(tmp_path, fs, first, n_lags, data):
         (1, [0.0], 0, "fs_hz must be positive"),
         (1, [1e300], 1e10, "contiguous range"),
         (0, [], 10.0, "contiguous range"),
+        (2, [0.0, 1e9], 1.0, "contiguous range"),
+        (2, [0.0, 1e300], 1.0, "contiguous range"),
     ],
 )
 def test_kernel_lag_grid_that_cannot_be_rebuilt_is_rejected(tmp_path, n_lags, lag_times, fs, message):

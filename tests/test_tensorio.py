@@ -163,6 +163,16 @@ def test_eeg_non_finite_sample_rejected_and_named(data):
         EegRecording(data=values, fs_hz=100.0, channel_names=names, subject_id="s")
 
 
+def test_written_files_read_back_when_ids_are_not_strings(tmp_path):
+    # the writers store subject_id and units as strings, which the readers require
+    eeg_path, trf_path = tmp_path / "eeg.btsr", tmp_path / "trf.btsr"
+    write_eeg(eeg_path, EegRecording(np.zeros((1, 2)), 10.0, ["a"], 7))
+    assert read_eeg(eeg_path).subject_id == "7"
+    spec = LagSpec(tmin_s=0.0, tmax_s=0.1, fs_hz=10.0, lag_samples=[0, 1])
+    write_trf(trf_path, TrfModel(np.zeros((2, 1, 1)), spec, ["a"], lam=1.0, units=3))
+    assert read_trf(trf_path).units == "3"
+
+
 def test_eeg_missing_meta_key_names_it(tmp_path):
     path = tmp_path / "eeg.btsr"
     write_tensor(path, "f64", [1, 2], {"channel_names": ["a"], "subject_id": "x"}, np.zeros(2))
@@ -186,13 +196,13 @@ def _write_lda_file(path):
 # Each reader's required meta keys, with the kind each one takes.
 _READERS = {
     "eeg": (read_eeg, _write_eeg_file,
-            {"fs_hz": "number", "channel_names": "str list", "subject_id": "str"}),
+            {"fs_hz": "float", "channel_names": "str list", "subject_id": "str"}),
     "trf": (read_trf, _write_trf_file,
-            {"lag_times_s": "number list", "channel_names": "str list", "lambda": "number",
-             "fs_hz": "number", "units": "str"}),
+            {"lag_times_s": "float list", "channel_names": "str list", "lambda": "float",
+             "fs_hz": "float", "units": "str"}),
     "lda": (read_lda, _write_lda_file,
-            {"class_labels": "str list", "eigenvalues": "number list",
-             "class_means": "number rows", "n_components": "int",
+            {"class_labels": "str list", "eigenvalues": "float list",
+             "class_means": "float rows", "n_components": "int",
              "requested_components": "int"}),
 }
 
@@ -201,16 +211,16 @@ _JSON_SAMPLES = [
     (True, ()),
     (None, ()),
     ("x", ("str",)),
-    (5, ("int", "number")),
-    (2.5, ("number",)),
+    (5, ("int", "float")),
+    (2.5, ("float",)),
     (float("nan"), ()),
     (float("inf"), ()),
     ({}, ()),
     (["a"], ("str list",)),
-    ([1.5], ("number list",)),
+    ([1.5], ("float list",)),
     ([True], ()),
     (["a", 1.5], ()),
-    ([[1.5]], ("number rows",)),
+    ([[1.5]], ("float rows",)),
     ([[1.5], [2.5, 3.5]], ()),
 ]
 
