@@ -59,6 +59,10 @@ class LdaModel:
                 f"class_means must be ({len(self.class_labels)}, {self.projection.shape[0]}), "
                 f"got {self.class_means.shape}"
             )
+        if self.eigenvalues.shape != (self.n_components,):
+            raise PreconditionError(
+                f"eigenvalues must be ({self.n_components},), got {self.eigenvalues.shape}"
+            )
 
     @property
     def clamped(self) -> bool:

@@ -152,10 +152,11 @@ def _not_positive_definite(lam: float) -> Exception:
 def _solve_gram(XtX: np.ndarray, XtY: np.ndarray, lam: float) -> np.ndarray:
     import scipy.linalg
 
-    A = XtX.copy()
+    # one Fortran-ordered copy, which LAPACK then factorises in place
+    A = np.array(XtX, order="F")
     A[np.diag_indices_from(A)] += lam
     try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise _not_positive_definite(lam) from None
     return scipy.linalg.cho_solve(factor, XtY, check_finite=False)
@@ -176,8 +177,10 @@ def _ridge_path(XtX: np.ndarray, XtY: np.ndarray, grid) -> np.ndarray:
     X^T X = Q T Q^T (LAPACK dsytrd) turns each (X^T X + lam I) W = X^T Y
     into (T + lam I) Z = Q^T X^T Y, one O(P) tridiagonal solve, and one
     back-transform W = Q Z serves all penalties. Returns (P, len(grid) * E);
-    the weights for grid[g] are columns g*E to (g+1)*E. XtX is overwritten,
-    so pass a copy to keep it. Failures raise as _solve_gram's do.
+    the weights for grid[g] are columns g*E to (g+1)*E. The reduction runs
+    in place on XtX when it is Fortran- or C-contiguous (a C-ordered XtX is
+    read through its transpose, the same matrix), so pass a copy to keep it;
+    LAPACK copies any other layout. Failures raise as _solve_gram's do.
     """
     import scipy.linalg
 
@@ -189,10 +192,14 @@ def _ridge_path(XtX: np.ndarray, XtY: np.ndarray, grid) -> np.ndarray:
     # can leave T + 0 I positive definite.
     zero_row = not np.all(np.diagonal(XtX))
     lwork = int(scipy.linalg.lapack.dsytrd_lwork(P, lower=1)[0])
-    # XtX is symmetric, so its transpose is the same matrix in Fortran order
-    c, d, e, tau, _ = scipy.linalg.lapack.dsytrd(XtX.T, lower=1, lwork=lwork, overwrite_a=1)
-    # Q = diag(1, Q'), with Q' stored as QR reflectors below the subdiagonal
-    reflectors = np.asfortranarray(c[1:, :-1])
+    # dsytrd copies an input that is not Fortran-contiguous; XtX is symmetric,
+    # so whichever of it and its transpose is Fortran-contiguous is the same matrix
+    A = XtX if XtX.flags.f_contiguous else XtX.T
+    c, d, e, tau, _ = scipy.linalg.lapack.dsytrd(A, lower=1, lwork=lwork, overwrite_a=1)
+    # Q = diag(1, Q'), with Q' stored as QR reflectors in c[1:, :-1]: read them in
+    # place as the first P - 1 rows of a (P, P - 1) Fortran array with leading
+    # dimension P, which starts one element into c
+    reflectors = c.reshape(-1, order="F")[1 : 1 + P * (P - 1)].reshape(P, P - 1, order="F")
     B = np.array(XtY, order="F")
     B[1:] = _apply_q("T", reflectors, tau, B[1:])
     Z = np.empty((P, len(grid) * E), order="F")
@@ -374,9 +381,14 @@ def _stack_segments(segments: SegmentSet, indices, spec: LagSpec):
     return X.toarray(), Y
 
 
+def _gram(X) -> np.ndarray:
+    """Dense X^T X of a CSR design X; Fortran-ordered, as the product is CSC."""
+    return (X.T @ X).toarray()
+
+
 def _normal_equations(X, Y):
     """Dense X^T X and X^T Y of a CSR design X and its response Y."""
-    return (X.T @ X).toarray(), X.T @ Y
+    return _gram(X), X.T @ Y
 
 
 def _penalty_scores(X_val, Y_val, W) -> list:
@@ -384,6 +396,18 @@ def _penalty_scores(X_val, Y_val, W) -> list:
     target = scaled_columns(Y_val)
     blocks = np.split(W, W.shape[1] // Y_val.shape[1], axis=1)
     return [np.mean(correlate(scaled_columns(X_val @ W_g), target)) for W_g in blocks]
+
+
+def _closed_form_fold_scores(X_val, Y_val, G_tot, H_train, grid) -> list:
+    """Validation scores of one fold, trained on G_tot minus the fold's own Gram.
+
+    The fold's Gram is recomputed here rather than kept from the first pass
+    (the sparse product is deterministic, so the bits match), and it and the
+    weights are released on return, before the next fold's Gram is formed.
+    """
+    G = _gram(X_val)
+    W = _ridge_path(np.subtract(G_tot, G, out=G), H_train, grid)
+    return _penalty_scores(X_val, Y_val, W)
 
 
 def cross_validate(
@@ -440,22 +464,25 @@ def cross_validate(
     fold_assignment = [fi for fi, idx in enumerate(folds) for _ in idx]
     stacks = [_sparse_stack(segments, idx, spec) for idx in folds]
     if solver == "closed_form":
-        stats = [_normal_equations(X, Y) for X, Y in stacks]
-        G_tot = sum(G for G, _ in stats)
-        H_tot = sum(H for _, H in stats)
+        # Only the total Gram and one fold's Gram are held at a time: this pass
+        # adds each fold's into G_tot in fold order, as sum() would, from +0.0
+        P = stacks[0][0].shape[1]
+        G_tot = np.zeros((P, P))
+        for X, _ in stacks:
+            G_tot += _gram(X)
+        H = [X.T @ Y for X, Y in stacks]
+        H_tot = sum(H)
 
     scores = np.empty((len(grid), k))
     for fi, (X_val, Y_val) in enumerate(stacks):
         if solver == "closed_form":
-            G_val, H_val = stats[fi]
-            # each fold's Gram is used once, so its buffer takes the training Gram
-            W = _ridge_path(np.subtract(G_tot, G_val, out=G_val), H_tot - H_val, grid)
+            scores[:, fi] = _closed_form_fold_scores(X_val, Y_val, G_tot, H_tot - H[fi], grid)
         else:
             train_idx = [i for i in range(n) if fold_assignment[i] != fi]
             X_train, Y_train = _stack_segments(segments, train_idx, spec)
             fits = [fit_iterative(X_train, Y_train, lam, **asdict(iterative)) for lam in grid]
             W = np.hstack([fit.weights for fit in fits])
-        scores[:, fi] = _penalty_scores(X_val, Y_val, W)
+            scores[:, fi] = _penalty_scores(X_val, Y_val, W)
 
     return CvReport(
         grid=grid,

@@ -286,6 +286,10 @@ def read_tensor(path) -> TensorFile:
             f"({n_bytes} bytes) but shape {shape} requires {count}"
         )
     values = np.frombuffer(raw, dtype=np_dtype, count=count, offset=offset).copy()
+    try:  # a zero entry lets a huge one past the size check; the view is discarded
+        values.reshape(shape)
+    except ValueError:
+        raise ValidationError(f"{path}: numpy cannot hold an array of shape {shape}") from None
     return TensorFile(dtype=dtype_tag, shape=list(shape), meta=meta, values=values)
 
 

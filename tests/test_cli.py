@@ -554,6 +554,21 @@ def test_kernel_with_wrong_kind_lambda_exits_2_with_one_error_line(tmp_path, cap
     assert "sub00_trf.btsr" in err[0] and "'lambda'" in err[0]
 
 
+def test_recording_shape_numpy_cannot_hold_exits_2_with_one_error_line(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    eeg = tmp_path / "out" / "sub00_eeg.btsr"
+    meta = read_tensor(eeg).meta
+    # no values are needed to fill a shape with a zero entry, so the size check passes
+    header = {"magic": "BTSR1", "dtype": "f64", "shape": [0, 2**62], "meta": meta}
+    eeg.write_bytes(json.dumps(header).encode() + b"\n")
+    capsys.readouterr()
+    assert _run("fit", "--config", str(config)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "sub00_eeg.btsr" in err[0] and str([0, 2**62]) in err[0]
+
+
 def test_divergence_exits_4(tmp_path):
     config = _write_config(
         tmp_path,

@@ -217,6 +217,12 @@ def test_roundtrip_through_file(tmp_path):
     assert np.allclose(back.eigenvalues, model.eigenvalues, atol=0)
 
 
+@pytest.mark.parametrize("eigenvalues", [[], [1.0, 2.0], [[1.0]]], ids=["none", "two", "rows"])
+def test_eigenvalues_must_be_one_per_component(eigenvalues):
+    with pytest.raises(PreconditionError, match="eigenvalues must be"):
+        LdaModel(np.eye(2, 1), ["p", "q"], np.zeros((2, 2)), 1, eigenvalues, 1)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

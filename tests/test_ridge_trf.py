@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -17,8 +18,10 @@ from trfkit.lagged_design import LagSpec, build_lagged_csr, build_lagged_matrix
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
 from trfkit.ridge_trf import (
     CvReport,
+    _penalty_scores,
     _ridge_path,
     _solve_gram,
+    _sparse_stack,
     IterativeOptions,
     TrfModel,
     cross_validate,
@@ -216,6 +219,40 @@ def test_ridge_path_indefinite_gram_raises_numerical_error(P, E, seed, grid):
     eigs[len(eigs) // 2] = -(max(grid) + 1.0)  # stays negative at every penalty
     with pytest.raises(NumericalError):
         _ridge_path((Q * eigs) @ Q.T, H, grid)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes allocated by Python and numpy while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _ordered_gram(order, P=200):
+    """A Gram in the given memory order, its right-hand side and its size in bytes."""
+    A, H = _gram_problem(P, 1, seed=3)
+    _solve_gram(A.T @ A, H, 1.0)  # loads scipy.linalg before any tracing
+    return np.array(A.T @ A, order=order), H, P * P * 8
+
+
+# a Fortran-ordered Gram is what a CSR design's sparse product gives
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_ridge_path_reduces_its_gram_in_place(order):
+    G, H, gram_bytes = _ordered_gram(order)
+    peak = _traced_peak(_ridge_path, G, H, [1.0, 10.0])
+    assert peak < gram_bytes / 2, f"{peak / gram_bytes:.2f} Grams"
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_solve_gram_copies_its_gram_once(order):
+    G, H, gram_bytes = _ordered_gram(order)
+    kept = G.copy(order="A")
+    peak = _traced_peak(_solve_gram, G, H, 1.0)
+    assert peak < 1.5 * gram_bytes, f"{peak / gram_bytes:.2f} Grams"
+    assert np.array_equal(G, kept)  # the caller's Gram is left as it was
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +516,38 @@ def test_closed_form_cv_matches_dense_reference_on_wide_grid(density):
     grid = make_lambda_grid(1e-2, 1e6, 20)
     rep = cross_validate(segs, spec, grid, k=5, solver="closed_form")
     assert np.max(np.abs(rep.per_lambda_scores - _dense_cv_scores(segs, spec, grid, 5))) <= 1e-10
+
+
+def _summed_gram_cv_scores(segs, spec, grid, k):
+    """Closed-form CV that keeps every fold's Gram and sums them with sum()."""
+    stacks = [_sparse_stack(segs, idx, spec) for idx in np.array_split(np.arange(len(segs)), k)]
+    stats = [((X.T @ X).toarray(), X.T @ Y) for X, Y in stacks]
+    G_tot = sum(G for G, _ in stats)
+    H_tot = sum(H for _, H in stats)
+    scores = np.empty((len(grid), k))
+    for fi, ((X_val, Y_val), (G_val, H_val)) in enumerate(zip(stacks, stats)):
+        # C order: the reduction reads the upper triangle, through the transpose
+        W = _ridge_path(np.ascontiguousarray(G_tot - G_val), H_tot - H_val, grid)
+        scores[:, fi] = _penalty_scores(X_val, Y_val, W)
+    return scores
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
+def test_closed_form_cv_scores_equal_summed_gram_reference_exactly(density, k):
+    segs, spec = _segments(seed=8, n_segments=10, n=120, d=3, e=3, lags=(-3, 8), density=density)
+    grid = make_lambda_grid(1e-2, 1e3, 6)
+    rep = cross_validate(segs, spec, grid, k=k, solver="closed_form")
+    assert np.array_equal(rep.per_lambda_scores, _summed_gram_cv_scores(segs, spec, grid, k))
+
+
+def test_closed_form_cv_memory_does_not_grow_with_fold_count():
+    segs, spec = _segments(seed=2, n_segments=16, n=200, d=2, e=2, lags=(0, 149), density=0.02)
+    gram_bytes = (2 * spec.n_lags) ** 2 * 8
+    grid = [0.1, 10.0]
+    cross_validate(segs, spec, grid, k=2)  # loads scipy before tracing
+    peaks = [_traced_peak(cross_validate, segs, spec, grid, k) / gram_bytes for k in (2, 8)]
+    assert abs(peaks[0] - peaks[1]) < 1, f"{peaks[0]:.2f} and {peaks[1]:.2f} Grams at k = 2 and 8"
 
 
 @pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])

@@ -125,6 +125,23 @@ def test_huge_shape_with_empty_payload_is_a_size_mismatch(tmp_path):
         write_tensor(path, "f64", [2**62, 4], {}, np.zeros(0))
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [[0, 2**62], [2**62, 0, 2**62], [0, 2**64], [1] * 65],
+    ids=["too_big", "two_huge", "beyond_int64", "65_dims"],
+)
+def test_shape_numpy_cannot_hold_is_rejected_naming_file_and_shape(tmp_path, shape):
+    path = tmp_path / "huge.btsr"
+    meta = {"fs_hz": 10.0, "channel_names": [], "subject_id": "x"}
+    header = {"magic": "BTSR1", "dtype": "f64", "shape": shape, "meta": meta}
+    payload = b"" if 0 in shape else bytes(8)  # the payload fits the value count
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    for read in (read_tensor, read_eeg):
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(path) in str(err.value) and str(shape) in str(err.value)
+
+
 def test_read_tensor_header_only(tmp_path):
     path = tmp_path / "t.btsr"
     write_tensor(path, "f32", [3], {"tag": 1}, np.zeros(3, dtype=np.float32))
@@ -252,6 +269,16 @@ def test_missing_or_wrong_kind_meta_key_names_file_and_key(tmp_path, reader, key
         with pytest.raises(ValidationError) as err:
             read(path)
         assert str(path) in str(err.value) and repr(key) in str(err.value), (value, drop)
+
+
+@pytest.mark.parametrize("eigenvalues", [[], [1.5, 2.5]], ids=["none", "two"])
+def test_lda_eigenvalue_count_mismatch_names_file(tmp_path, eigenvalues):
+    path = tmp_path / "lda.btsr"
+    _write_lda_file(path)  # one component
+    _rewrite_meta(path, "eigenvalues", eigenvalues)
+    with pytest.raises(ValidationError, match="eigenvalues must be") as err:
+        read_lda(path)
+    assert str(path) in str(err.value)
 
 
 def test_eeg_channel_name_count_mismatch(tmp_path):
