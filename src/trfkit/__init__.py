@@ -1,172 +1,23 @@
 """Estimation of multichannel temporal response kernels from word-level
 feature streams, with built-in cross-validation, discriminant feature
 reduction, correlation statistics and a synthetic ground-truth generator.
+
+The package re-exports every name that a layer module lists in its
+`__all__`; `trfkit.cli` is imported on its own.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DivergenceError,
-    FormatError,
-    NumericalError,
-    PreconditionError,
-    SingularSystemError,
-    TrfkitError,
-    ValidationError,
-)
-from .lagged_design import (
-    DesignMatrix,
-    LagSpec,
-    build_lagged_matrix,
-    lag_range_to_samples,
-)
-from .lda_reduce import (
-    ComponentClampWarning,
-    LdaModel,
-    fit_lda,
-    read_lda,
-    separation_report,
-    transform,
-    write_lda,
-)
-from .preprocess import (
-    FeatureSeries,
-    Segment,
-    SegmentSet,
-    impulse_align,
-    segment,
-    zscore_channels,
-    zscore_features,
-)
-from .ridge_trf import (
-    KERNEL_UNITS,
-    CvReport,
-    IterativeFit,
-    IterativeOptions,
-    TrfModel,
-    cross_validate,
-    fit_iterative,
-    fit_trf,
-    flatten_trf,
-    make_lambda_grid,
-    predict,
-    read_trf,
-    reshape_trf,
-    ridge_closed_form,
-    write_trf,
-)
-from .stats_eval import (
-    ChannelScore,
-    EvaluationReport,
-    GroupReport,
-    evaluate_subject,
-    fisher_combine,
-    group_report,
-    mean_channel_r,
-    pearson_r,
-    r_to_p,
-    topo_report,
-)
-from .synthgen import SynthSpec, circle_layout, gen_dataset, gen_kernel, gen_response, gen_words
-from .tensorio import (
-    ChannelLayout,
-    EegRecording,
-    LayoutEntry,
-    TensorFile,
-    WordEvent,
-    WordEventSequence,
-    read_channel_layout,
-    read_eeg,
-    read_tensor,
-    read_word_events,
-    write_channel_layout,
-    write_eeg,
-    write_tensor,
-    write_word_events,
-)
+from . import errors, lagged_design, lda_reduce, preprocess, ridge_trf, stats_eval, synthgen
+from . import tensorio
+from .errors import *
+from .lagged_design import *
+from .lda_reduce import *
+from .preprocess import *
+from .ridge_trf import *
+from .stats_eval import *
+from .synthgen import *
+from .tensorio import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "TrfkitError",
-    "FormatError",
-    "ValidationError",
-    "PreconditionError",
-    "DegenerateDataError",
-    "ConfigError",
-    "NumericalError",
-    "SingularSystemError",
-    "DivergenceError",
-    # tensorio
-    "TensorFile",
-    "EegRecording",
-    "WordEvent",
-    "WordEventSequence",
-    "LayoutEntry",
-    "ChannelLayout",
-    "read_tensor",
-    "write_tensor",
-    "read_eeg",
-    "write_eeg",
-    "read_word_events",
-    "write_word_events",
-    "read_channel_layout",
-    "write_channel_layout",
-    # preprocess
-    "FeatureSeries",
-    "Segment",
-    "SegmentSet",
-    "zscore_channels",
-    "zscore_features",
-    "impulse_align",
-    "segment",
-    # lagged_design
-    "LagSpec",
-    "DesignMatrix",
-    "lag_range_to_samples",
-    "build_lagged_matrix",
-    # ridge_trf
-    "KERNEL_UNITS",
-    "TrfModel",
-    "CvReport",
-    "IterativeFit",
-    "IterativeOptions",
-    "make_lambda_grid",
-    "ridge_closed_form",
-    "fit_iterative",
-    "predict",
-    "reshape_trf",
-    "flatten_trf",
-    "cross_validate",
-    "fit_trf",
-    "write_trf",
-    "read_trf",
-    # lda_reduce
-    "ComponentClampWarning",
-    "LdaModel",
-    "fit_lda",
-    "transform",
-    "separation_report",
-    "write_lda",
-    "read_lda",
-    # stats_eval
-    "ChannelScore",
-    "EvaluationReport",
-    "GroupReport",
-    "pearson_r",
-    "r_to_p",
-    "fisher_combine",
-    "mean_channel_r",
-    "evaluate_subject",
-    "group_report",
-    "topo_report",
-    # synthgen
-    "SynthSpec",
-    "gen_kernel",
-    "gen_words",
-    "gen_response",
-    "gen_dataset",
-    "circle_layout",
-]
+_LAYERS = (errors, tensorio, preprocess, lagged_design, ridge_trf, lda_reduce, stats_eval, synthgen)
+__all__ = ["__version__"] + [name for layer in _LAYERS for name in layer.__all__]

@@ -57,6 +57,16 @@ JSON_KINDS = {
 }
 
 
+def pow2_scaled(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """a scaled along axis by exact powers of two, each slice's largest magnitude in [0.5, 1).
+
+    The scaling is exact unless a value lies more than 2**1021 below its
+    slice's largest magnitude, so ratios such as z-scores keep their bits,
+    and sums of squares over the result cannot overflow.
+    """
+    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1])
+
+
 def scaled_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centred columns of a scaled to unit largest magnitude, and their sums of squares.
 
@@ -67,7 +77,7 @@ def scaled_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.shape[0] < 3:
         raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")
-    c = np.ldexp(a, -np.frexp(np.abs(a).max(axis=0))[1])
+    c = pow2_scaled(a)
     c -= c.mean(axis=0)
     scale = np.abs(c).max(axis=0)
     if np.any(scale == 0.0):

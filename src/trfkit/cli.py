@@ -70,30 +70,6 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_CONFIG = {
-    "paths": {"eeg": [], "word_events": "", "layout": "", "output": "out"},
-    "lags": {"tmin_s": -0.1, "tmax_s": 1.0},
-    "window_s": 2.0,
-    "overlap": 0.1,
-    "lambda_grid": {"lo": 1e-3, "hi": 1e5, "n": 10},
-    "folds": 5,
-    "solver": "closed_form",
-    "iterative": {"lr": 1e-4, "batch_size": 64, "tol": 1e-8, "max_epochs": 1000},
-    "lda": {"enabled": False, "n_components": 9},
-    "test_fraction": 0.2,
-    "seed": 0,
-    "synth": {
-        "fs_hz": 100.0,
-        "duration_s": 120.0,
-        "n_channels": 4,
-        "n_features": 8,
-        "word_rate_hz": 2.0,
-        "snr": 5.0,
-        "n_subjects": 1,
-    },
-}
-
-
 # Range rules, keyed by the text that error messages show.
 _RULES = {
     "": lambda v: True,
@@ -108,37 +84,57 @@ _RULES = {
     "in {closed_form, iterative}": lambda v: v in ("closed_form", "iterative"),
 }
 
-# One row per leaf of DEFAULT_CONFIG: dotted key, kind, range rule.
+# One row per config leaf: dotted key, default, kind, range rule. The rows'
+# order is DEFAULT_CONFIG's key order, which cv.json's "lags" record keeps.
 _SCHEMA = [
-    ("paths.eeg", "str list", "with no empty entry"),
-    ("paths.word_events", "str", ""),
-    ("paths.layout", "str", ""),
-    ("paths.output", "str", "that is not empty"),
-    ("lags.tmin_s", "float", ""),
-    ("lags.tmax_s", "float", ""),
-    ("window_s", "float", "> 0"),
-    ("overlap", "float", "in [0, 1)"),
-    ("lambda_grid.lo", "float", "> 0"),
-    ("lambda_grid.hi", "float", ""),
-    ("lambda_grid.n", "int", ">= 2"),
-    ("folds", "int", ">= 2"),
-    ("solver", "str", "in {closed_form, iterative}"),
-    ("iterative.lr", "float", "> 0"),
-    ("iterative.batch_size", "int", ">= 1"),
-    ("iterative.tol", "float", ">= 0"),
-    ("iterative.max_epochs", "int", ">= 1"),
-    ("lda.enabled", "bool", ""),
-    ("lda.n_components", "int", ">= 1"),
-    ("test_fraction", "float", "in (0, 1)"),
-    ("seed", "int", ">= 0"),
-    ("synth.fs_hz", "float", "> 0"),
-    ("synth.duration_s", "float", "> 0"),
-    ("synth.n_channels", "int", ">= 1"),
-    ("synth.n_features", "int", ">= 1"),
-    ("synth.word_rate_hz", "float", "> 0"),
-    ("synth.snr", "float", "> 0"),
-    ("synth.n_subjects", "int", ">= 1"),
+    ("paths.eeg", [], "str list", "with no empty entry"),
+    ("paths.word_events", "", "str", ""),
+    ("paths.layout", "", "str", ""),
+    ("paths.output", "out", "str", "that is not empty"),
+    ("lags.tmin_s", -0.1, "float", ""),
+    ("lags.tmax_s", 1.0, "float", ""),
+    ("window_s", 2.0, "float", "> 0"),
+    ("overlap", 0.1, "float", "in [0, 1)"),
+    ("lambda_grid.lo", 1e-3, "float", "> 0"),
+    ("lambda_grid.hi", 1e5, "float", ""),
+    ("lambda_grid.n", 10, "int", ">= 2"),
+    ("folds", 5, "int", ">= 2"),
+    ("solver", "closed_form", "str", "in {closed_form, iterative}"),
+    ("iterative.lr", 1e-4, "float", "> 0"),
+    ("iterative.batch_size", 64, "int", ">= 1"),
+    ("iterative.tol", 1e-8, "float", ">= 0"),
+    ("iterative.max_epochs", 1000, "int", ">= 1"),
+    ("lda.enabled", False, "bool", ""),
+    ("lda.n_components", 9, "int", ">= 1"),
+    ("test_fraction", 0.2, "float", "in (0, 1)"),
+    ("seed", 0, "int", ">= 0"),
+    ("synth.fs_hz", 100.0, "float", "> 0"),
+    ("synth.duration_s", 120.0, "float", "> 0"),
+    ("synth.n_channels", 4, "int", ">= 1"),
+    ("synth.n_features", 8, "int", ">= 1"),
+    ("synth.word_rate_hz", 2.0, "float", "> 0"),
+    ("synth.snr", 5.0, "float", "> 0"),
+    ("synth.n_subjects", 1, "int", ">= 1"),
 ]
+
+
+def _leaf(tree: dict, dotted: str) -> tuple[dict, str]:
+    """The section of tree that holds a dotted key, made if missing, and the leaf's name."""
+    *sections, leaf = dotted.split(".")
+    for key in sections:
+        tree = tree.setdefault(key, {})
+    return tree, leaf
+
+
+def _default_config() -> dict:
+    tree = {}
+    for dotted, default, _, _ in _SCHEMA:
+        node, leaf = _leaf(tree, dotted)
+        node[leaf] = default
+    return tree
+
+
+DEFAULT_CONFIG = _default_config()
 
 
 def _merge(base: dict, override: dict, trail: str = "") -> dict:
@@ -178,11 +174,8 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 
 def _validate(cfg: dict) -> None:
     """Check every leaf against _SCHEMA, storing the converted values in place."""
-    for dotted, kind, rule in _SCHEMA:
-        *sections, leaf = dotted.split(".")
-        node = cfg
-        for key in sections:
-            node = node[key]
+    for dotted, _, kind, rule in _SCHEMA:
+        node, leaf = _leaf(cfg, dotted)
         kind_text, convert = JSON_KINDS[kind]
         value = convert(node[leaf])
         if value is None or not _RULES[rule](value):

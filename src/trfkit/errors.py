@@ -4,6 +4,18 @@ All failures are raised as catchable exceptions; nothing in the library
 calls sys.exit or aborts the process. The CLI maps these onto exit codes.
 """
 
+__all__ = [
+    "TrfkitError",
+    "FormatError",
+    "ValidationError",
+    "PreconditionError",
+    "DegenerateDataError",
+    "ConfigError",
+    "NumericalError",
+    "SingularSystemError",
+    "DivergenceError",
+]
+
 
 class TrfkitError(Exception):
     """Base class for every error raised by this package."""

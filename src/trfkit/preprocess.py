@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import round_half_up
+from ._util import pow2_scaled, round_half_up
 from .errors import DegenerateDataError, PreconditionError
 from .tensorio import EegRecording, WordEventSequence
 
@@ -103,14 +103,15 @@ def zscore_channels(rec: EegRecording) -> EegRecording:
         raise PreconditionError(
             f"need at least 2 samples per channel to standardise, got {rec.n_samples}"
         )
-    mean = rec.data.mean(axis=1, keepdims=True)
-    std = rec.data.std(axis=1, keepdims=True)  # population: divide by N
+    data = pow2_scaled(rec.data, axis=1)  # a finite channel cannot overflow std
+    mean = data.mean(axis=1, keepdims=True)
+    std = data.std(axis=1, keepdims=True)  # population: divide by N
     flat = np.flatnonzero(std.ravel() == 0.0)
     if flat.size:
         names = ", ".join(rec.channel_names[i] for i in flat)
         raise DegenerateDataError(f"channel(s) with zero variance: {names}")
     return EegRecording(
-        data=(rec.data - mean) / std,
+        data=(data - mean) / std,
         fs_hz=rec.fs_hz,
         channel_names=list(rec.channel_names),
         subject_id=rec.subject_id,
@@ -121,7 +122,7 @@ def zscore_features(seq: WordEventSequence) -> WordEventSequence:
     """Standardise each feature dimension across events (population std)."""
     if len(seq) < 2:
         raise PreconditionError(f"need at least 2 events to standardise, got {len(seq)}")
-    mat = seq.vectors()
+    mat = pow2_scaled(seq.vectors())  # a finite feature cannot overflow std
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
     dead = np.flatnonzero(std == 0.0)

@@ -363,16 +363,21 @@ def pick_best_lambda(grid, mean_scores) -> float:
     return max(zip(scores, grid))[1]
 
 
-def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
-    """CSR design and response of the given segments, stacked in order."""
+def _vstack(stacks):
+    """One CSR design and response from (CSR design, response) pairs, stacked in order."""
     import scipy.sparse
 
-    xs, ys = [], []
-    for i in indices:
-        seg = segments.segments[i]
-        xs.append(build_lagged_csr(FeatureSeries(data=seg.x, fs_hz=segments.fs_hz), spec))
-        ys.append(seg.y)
+    xs, ys = zip(*stacks)
     return scipy.sparse.vstack(xs, format="csr"), np.concatenate(ys, axis=0)
+
+
+def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
+    """CSR design and response of the given segments, stacked in order."""
+    segs = [segments.segments[i] for i in indices]
+    return _vstack(
+        (build_lagged_csr(FeatureSeries(data=seg.x, fs_hz=segments.fs_hz), spec), seg.y)
+        for seg in segs
+    )
 
 
 def _stack_segments(segments: SegmentSet, indices, spec: LagSpec):
@@ -478,8 +483,8 @@ def cross_validate(
         if solver == "closed_form":
             scores[:, fi] = _closed_form_fold_scores(X_val, Y_val, G_tot, H_tot - H[fi], grid)
         else:
-            train_idx = [i for i in range(n) if fold_assignment[i] != fi]
-            X_train, Y_train = _stack_segments(segments, train_idx, spec)
+            X_train, Y_train = _vstack(st for fj, st in enumerate(stacks) if fj != fi)
+            X_train = X_train.toarray()
             fits = [fit_iterative(X_train, Y_train, lam, **asdict(iterative)) for lam in grid]
             W = np.hstack([fit.weights for fit in fits])
             scores[:, fi] = _penalty_scores(X_val, Y_val, W)

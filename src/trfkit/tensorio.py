@@ -264,7 +264,7 @@ def read_tensor(path) -> TensorFile:
     header, offset = _parse_header(raw, path)
 
     dtype_tag = header.get("dtype")
-    if dtype_tag not in _DTYPES:
+    if not isinstance(dtype_tag, str) or dtype_tag not in _DTYPES:
         raise FormatError(f"{path}: unknown dtype tag {dtype_tag!r}")
     shape = header.get("shape")
     if (

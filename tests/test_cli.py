@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ def test_defaults_cover_every_stage():
     assert DEFAULT_CONFIG["solver"] == "closed_form"
     assert DEFAULT_CONFIG["iterative"]["lr"] == 1e-4
     assert DEFAULT_CONFIG["iterative"]["batch_size"] == 64
+
+
+def test_readme_config_block_is_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    # json.dumps keeps key order and tells 100 from 100.0
+    assert json.dumps(json.loads(block)) == json.dumps(DEFAULT_CONFIG)
 
 
 def test_load_config_merges_over_defaults(tmp_path):

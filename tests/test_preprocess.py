@@ -82,6 +82,42 @@ def test_zscore_features_constant_dimension_named():
         zscore_features(seq)
 
 
+def _events(mat):
+    return WordEventSequence(
+        events=[WordEvent(f"w{i}", 0.1 * i, row) for i, row in enumerate(mat)], dim=mat.shape[1]
+    )
+
+
+def test_zscore_features_survives_a_finite_huge_value():
+    # the naive std of this column overflows to inf and zeroes the feature
+    mat = np.random.default_rng(3).normal(size=(40, 3))
+    mat[7, 1] = 1e308
+    vecs = zscore_features(_events(mat)).vectors()
+    assert np.all(np.isfinite(vecs))
+    assert vecs[:, 1].std() == pytest.approx(1.0, rel=1e-12)
+    assert vecs[7, 1] == pytest.approx(np.sqrt(39.0), rel=1e-12)  # one spike among 40 samples
+
+
+def test_zscore_channels_survives_a_finite_huge_value():
+    data = np.random.default_rng(4).normal(size=(3, 100))
+    data[2, 5] = -1e308
+    out = zscore_channels(_rec(data)).data
+    assert np.all(np.isfinite(out))
+    assert out[2].std() == pytest.approx(1.0, rel=1e-12)
+    assert out[2, 5] == pytest.approx(-np.sqrt(99.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-3, 1.0, 7.0, 1e30])
+def test_zscore_keeps_the_bits_of_the_plain_formula(scale):
+    # the exact power-of-two prescale must not move a bit on ordinary data
+    a = np.random.default_rng(5).normal(size=(6, 300)) * scale * np.arange(1, 7)[:, None]
+    expected = (a - a.mean(axis=1, keepdims=True)) / a.std(axis=1, keepdims=True)
+    assert zscore_channels(_rec(a)).data.tobytes() == expected.tobytes()
+    mat = np.ascontiguousarray(a.T)
+    expected = (mat - mat.mean(axis=0)) / mat.std(axis=0)
+    assert zscore_features(_events(mat)).vectors().tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # impulse alignment
 

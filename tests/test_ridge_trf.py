@@ -497,6 +497,22 @@ def test_iterative_cv_matches_dense_reference():
     assert rep.fold_assignment == [0, 0, 0, 1, 1, 2, 2]
 
 
+def test_iterative_cv_builds_each_window_design_once(monkeypatch):
+    import trfkit.ridge_trf as ridge_trf
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_lagged_csr(*args, **kwargs)
+
+    monkeypatch.setattr(ridge_trf, "build_lagged_csr", counting)
+    segs, spec = _segments(seed=4, n_segments=7, n=60, d=2, e=3, density=0.3)
+    options = IterativeOptions(lr=1e-3, batch_size=16, tol=1e-8, max_epochs=2, seed=2)
+    cross_validate(segs, spec, [0.1, 3.0], k=3, solver="iterative", iterative=options)
+    assert len(calls) == len(segs)
+
+
 @pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
 def test_closed_form_cv_and_fit_match_dense_reference(density):
     segs, spec = _segments(seed=5, n_segments=10, n=120, d=3, e=3, lags=(-3, 8), density=density)

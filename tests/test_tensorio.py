@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -100,6 +101,17 @@ def test_unknown_dtype_tag_rejected(tmp_path):
     path = tmp_path / "bad.btsr"
     path.write_bytes(b'{"magic": "BTSR1", "dtype": "i8", "shape": [1], "meta": {}}\nx')
     with pytest.raises(FormatError, match="dtype"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "tag", [{}, {"f64": 1}, [], ["f64"]], ids=["object", "tag_object", "list", "tag_list"]
+)
+def test_unhashable_dtype_tag_is_format_error_naming_file(tmp_path, tag):
+    path = tmp_path / "bad.btsr"
+    header = {"magic": "BTSR1", "dtype": tag, "shape": [1], "meta": {}}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+    with pytest.raises(FormatError, match=f"bad.btsr: unknown dtype tag {re.escape(repr(tag))}"):
         read_tensor(path)
 
 
