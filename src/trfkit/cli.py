@@ -24,6 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from ._util import JSON_KINDS, round_half_up
 from .errors import (
     ConfigError,
@@ -452,9 +454,10 @@ def cmd_lda(cfg: dict) -> None:
     """Reduce word vectors to discriminant space; write a reduced TSV."""
     if not cfg["lda"]["enabled"]:
         raise ConfigError("lda.enabled is false; enable it to run the lda command")
-    if cfg["paths"]["word_events"] is None:
+    path = cfg["paths"]["word_events"]
+    if path is None:
         raise ConfigError("paths.word_events is not set")
-    words = read_word_events(cfg["paths"]["word_events"])
+    words = read_word_events(path)
     untagged = [k for k, ev in enumerate(words.events) if ev.pos_tag is None]
     if untagged:
         shown = ", ".join(
@@ -464,14 +467,21 @@ def cmd_lda(cfg: dict) -> None:
         raise ValidationError(f"word events without a POS tag: {shown}{more}")
     labels = [ev.pos_tag for ev in words.events]
     vectors = words.vectors()
-    model = fit_lda(vectors, labels, cfg["lda"]["n_components"])
+    try:
+        with np.errstate(over="raise"):
+            model = fit_lda(vectors, labels, cfg["lda"]["n_components"])
+            projected = transform(model, vectors)
+            scores = separation_report(model, vectors, labels)
+    except FloatingPointError as e:
+        raise NumericalError(
+            f"{path}: its vectors are too large for the discriminant reduction ({e})"
+        ) from None
     if model.clamped:
         _log(
             f"lda: clamped from {model.requested_components} to "
             f"{model.n_components} components"
         )
-    reduced = words.with_vectors(transform(model, vectors))
-    scores = separation_report(model, vectors, labels)
+    reduced = words.with_vectors(projected)
     doc = {
         "n_components": model.n_components,
         "requested_components": model.requested_components,

@@ -6,6 +6,10 @@ trace-scaled ridge, epsilon * trace(S_w) / D on the diagonal, before
 inversion. The effective component count is clamped to
 min(requested, n_classes - 1, D); requesting more emits
 ComponentClampWarning. Projection columns are unit length.
+
+numpy alone does the work: the generalised problem is reduced to a
+standard symmetric one through the Cholesky factor of the ridged S_w,
+and the within-class distances come from blocks of the Gram matrix.
 """
 
 import warnings
@@ -29,6 +33,10 @@ __all__ = [
 ]
 
 SCATTER_RIDGE_EPS = 1e-6
+_DISTANCE_BLOCK = 128  # rows of the upper triangle per Gram block in _mean_pairwise_distance
+# pairs whose squared distance is below this share of |a|^2 + |b|^2 lose bits
+# to cancellation in the Gram identity and are recomputed from a - b
+_CANCELLATION_SHARE = 2.0**-6
 
 
 class ComponentClampWarning(UserWarning):
@@ -112,8 +120,6 @@ def fit_lda(vectors, labels, n_components: int) -> LdaModel:
         Requested basis size; clamped to min(n_components, C - 1, D)
         with a ComponentClampWarning when that bites.
     """
-    import scipy.linalg
-
     vectors = np.asarray(vectors, dtype=np.float64)
     if n_components < 1:
         raise PreconditionError(f"n_components must be >= 1, got {n_components}")
@@ -144,7 +150,11 @@ def fit_lda(vectors, labels, n_components: int) -> LdaModel:
             stacklevel=2,
         )
 
-    eigvals, eigvecs = scipy.linalg.eigh(S_b, S_w_reg)
+    # LAPACK sygvd's reduction: with S_w_reg = L Lᵀ, S_b v = w S_w_reg v becomes the
+    # standard problem L⁻¹ S_b L⁻ᵀ u = w u, and v = L⁻ᵀ u
+    L_inv = np.linalg.inv(np.linalg.cholesky(S_w_reg))
+    eigvals, eigvecs = np.linalg.eigh(L_inv @ S_b @ L_inv.T)
+    eigvecs = L_inv.T @ eigvecs
     order = np.argsort(eigvals)[::-1][:effective]
     basis = eigvecs[:, order]
     basis = basis / np.linalg.norm(basis, axis=0, keepdims=True)
@@ -185,8 +195,6 @@ def separation_report(model: LdaModel, vectors, labels) -> list[SeparationScore]
     each class and the distance from its centroid to the nearest other
     class centroid. Well-separated data has within << between.
     """
-    import scipy.spatial.distance  # on first use: see the scipy rule in README's module map
-
     vectors = np.asarray(vectors, dtype=np.float64)
     classes, members = _class_partition(vectors, labels)
     projected = transform(model, vectors)
@@ -194,7 +202,7 @@ def separation_report(model: LdaModel, vectors, labels) -> list[SeparationScore]
     scores = []
     for c in classes:
         pts = projected[members[c]]
-        within = float(np.mean(scipy.spatial.distance.pdist(pts))) if pts.shape[0] > 1 else 0.0
+        within = _mean_pairwise_distance(pts)
         best_name, best_dist = None, np.inf
         for other in classes:
             if other == c:
@@ -211,6 +219,38 @@ def separation_report(model: LdaModel, vectors, labels) -> list[SeparationScore]
             )
         )
     return scores
+
+
+def _mean_pairwise_distance(points: np.ndarray) -> float:
+    """Mean Euclidean distance over all pairs of the rows of points (at least two rows).
+
+    The rows are scaled by an exact power of two and centred, so nothing
+    overflows or underflows. Each block of _DISTANCE_BLOCK rows meets itself
+    and the rows after it through |a - b|² = |a|² + |b|² - 2 a·b; pairs where
+    that difference cancels are recomputed from a - b.
+    """
+    exponent = int(np.frexp(np.abs(points).max())[1])
+    x = np.ldexp(points, -exponent)
+    x -= x.mean(axis=0)
+    sq = np.einsum("ij,ij->i", x, x)
+    n = x.shape[0]
+    total = 0.0
+    for a in range(0, n, _DISTANCE_BLOCK):
+        b = min(a + _DISTANCE_BLOCK, n)
+        d2 = x[a:b] @ x[a:].T
+        d2 *= -2.0
+        d2 += sq[a:b, None]
+        d2 += sq[None, a:]
+        near = d2 < _CANCELLATION_SHARE * (sq[a:b, None] + sq[None, a:])
+        # columns a..b-1 hold the block's own pairs: keep each once, above the diagonal
+        near[:, : b - a] = np.triu(near[:, : b - a], 1)
+        if near.any():
+            rows, cols = np.nonzero(near)
+            diff = x[a + rows] - x[a + cols]
+            d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
+        d2[:, : b - a] = np.triu(d2[:, : b - a], 1)
+        total += float(np.sqrt(d2, out=d2).sum())
+    return float(np.ldexp(total / (n * (n - 1) / 2), exponent))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ decreasing onsets) raise ValidationError. Both are ordinary catchable exceptions
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,7 +185,9 @@ class WordEventSequence:
                 f"need one vector row per event ({len(self.events)}), got shape {vectors.shape}"
             )
         return WordEventSequence(
-            events=[replace(ev, vector=v) for ev, v in zip(self.events, vectors)],
+            events=[
+                WordEvent(ev.token, ev.onset_s, v, ev.pos_tag) for ev, v in zip(self.events, vectors)
+            ],
             dim=vectors.shape[1],
         )
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,16 @@ def _loaded_after(statement: str, modules) -> str:
 
 # argv[1] is the config, argv[2] the synthesised recording
 _MAIN = "from trfkit.cli import main; assert main({}) == 0"
+# lda on a two-class tagged words file that the standard library writes next to the config
+_LDA = (
+    "import pathlib; pathlib.Path(sys.argv[1]).with_name('tagged.tsv').write_text("
+    "'token\\tonset_s\\tpos\\tv0\\tv1\\n' + ''.join("
+    "f'w{k}\\t{k / 4}\\t{\"AB\"[k % 2]}\\t{k % 2 + k % 5 / 10}\\t{k % 7 / 10}\\n' for k in range(20))); "
+    + _MAIN.format(
+        "['lda', '--config', sys.argv[1], '--set', 'lda.enabled=true', "
+        "'--set', 'paths.word_events=tagged.tsv']"
+    )
+)
 
 
 @pytest.mark.parametrize(
@@ -515,6 +526,7 @@ _MAIN = "from trfkit.cli import main; assert main({}) == 0"
             ),
             id="evaluate",
         ),
+        pytest.param((), _loaded_after(_LDA, ("scipy",)), id="lda"),
     ],
 )
 def test_scipy_stays_unloaded_until_used(tmp_path, before, code):
@@ -681,6 +693,51 @@ def test_lda_rejects_untagged_rows(tmp_path, capsys):
     assert _run("lda", "--config", str(config)) == 2
     err = capsys.readouterr().err
     assert "row 2" in err
+
+
+def test_lda_with_a_huge_feature_value_exits_4_with_one_error_line(tmp_path, capsys):
+    words_path = tmp_path / "tagged.tsv"
+    _tagged_words_tsv(words_path)
+    lines = words_path.read_text(encoding="utf-8").splitlines()
+    cells = lines[6].split("\t")
+    cells[5] = "1e308"  # finite, but its square is not
+    lines[6] = "\t".join(cells)
+    words_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = _write_config(
+        tmp_path, {"paths.word_events": "tagged.tsv", "lda": {"enabled": True, "n_components": 2}}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run("lda", "--config", str(config)) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "tagged.tsv" in err[0] and "too large" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_lda_output_tree_repeats_byte_for_byte_across_fresh_processes(tmp_path):
+    import subprocess
+    import sys
+
+    _tagged_words_tsv(tmp_path / "tagged.tsv", n_per_class=300, dim=12, n_classes=4)
+    config = _write_config(
+        tmp_path, {"paths.word_events": "tagged.tsv", "lda": {"enabled": True, "n_components": 3}}
+    )
+    # the second process allocates first, so its arrays sit elsewhere on the heap
+    runs = {
+        "a": "from trfkit.cli import main",
+        "b": "import numpy as np; pad = [np.ones(k) for k in (3, 1001, 77777)]; from trfkit.cli import main",
+    }
+    trees = []
+    for out, prelude in runs.items():
+        code = f"{prelude}; import sys; sys.exit(main(['lda', '--config', sys.argv[1], '--output', sys.argv[2]]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(config), str(tmp_path / out)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())})
+    assert set(trees[0]) == {"lda_model.btsr", "words_lda.tsv", "lda_separation.json"}
+    assert trees[0] == trees[1]
 
 
 def test_module_entry_point(tmp_path):

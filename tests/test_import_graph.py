@@ -67,7 +67,7 @@ def _scipy_imports(path: Path) -> list:
 def test_scipy_is_imported_only_inside_functions():
     # a module-level import would make every command, scipy user or not, pay for it
     found = {p.name: _scipy_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
-    assert any(inside for _, inside in found["lda_reduce.py"])  # the walk sees function bodies
+    assert any(inside for _, inside in found["ridge_trf.py"])  # the walk sees function bodies
     top = [f"{name}:{line}" for name, imports in found.items() for line, inside in imports if not inside]
     assert not top, "scipy imported outside a function body: " + ", ".join(top)
 

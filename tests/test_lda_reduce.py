@@ -6,8 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from trfkit.errors import PreconditionError
 from trfkit.lda_reduce import (
+    _DISTANCE_BLOCK,
+    SCATTER_RIDGE_EPS,
     ComponentClampWarning,
     LdaModel,
+    _mean_pairwise_distance,
     fit_lda,
     read_lda,
     separation_report,
@@ -125,6 +128,56 @@ def test_degenerate_within_scatter_still_solves():
     assert np.all(np.isfinite(model.projection))
 
 
+def _scipy_reference(X, labels, k):
+    """Eigenvalues and sign-ruled unit projection from scipy's generalised eigh of (S_b, S_w_reg)."""
+    import scipy.linalg
+
+    labels = np.asarray(labels)
+    D = X.shape[1]
+    overall = X.mean(axis=0)
+    S_w, S_b = np.zeros((D, D)), np.zeros((D, D))
+    for c in sorted(set(labels)):
+        block = X[labels == c]
+        centred = block - block.mean(axis=0)
+        S_w += centred.T @ centred
+        offset = block.mean(axis=0) - overall
+        S_b += block.shape[0] * np.outer(offset, offset)
+    S_w_reg = S_w + SCATTER_RIDGE_EPS * np.trace(S_w) / D * np.eye(D)
+    w, v = scipy.linalg.eigh(S_b, S_w_reg)
+    order = np.argsort(w)[::-1][:k]
+    basis = v[:, order] / np.linalg.norm(v[:, order], axis=0)
+    pivots = np.argmax(np.abs(basis), axis=0)
+    return w[order], basis * np.sign(basis[pivots, np.arange(k)])
+
+
+def _classes(seed, n_classes, d, n_per=25, spread=3.0):
+    rng = np.random.default_rng(seed)
+    mix = np.eye(d) + 0.3 * rng.normal(size=(d, d))  # correlated features, S_w well conditioned
+    X = np.vstack([rng.normal(size=(n_per, d)) @ mix + spread * rng.normal(size=d) for _ in range(n_classes)])
+    return X, [f"k{c}" for c in range(n_classes) for _ in range(n_per)]
+
+
+def _near_singular_within_scatter(seed):
+    # the last feature spreads 1e-4 as far as the others: its within-class variance
+    # is 1e-8 of theirs, below the ridge, so S_w is singular but for the ridge
+    X, labels = _classes(seed, 5, 6)
+    X[:, -1] *= 1e-4
+    return X, labels
+
+
+@pytest.mark.parametrize(
+    "X, labels, k",
+    [pytest.param(*_classes(seed, 6, 8), 5, id=f"random{seed}") for seed in range(4)]
+    + [pytest.param(*_near_singular_within_scatter(seed), 4, id=f"near_singular{seed}") for seed in range(2)]
+    + [pytest.param(*_classes(seed, 4, 30), 3, id=f"wide{seed}") for seed in range(2)],
+)
+def test_eigen_reduction_matches_scipy_generalised_eigh(X, labels, k):
+    model = fit_lda(X, labels, n_components=k)
+    eigvals, projection = _scipy_reference(X, labels, k)
+    np.testing.assert_allclose(model.eigenvalues, eigvals, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.projection, projection, rtol=0, atol=1e-10)
+
+
 def test_single_class_rejected():
     X = np.random.default_rng(0).normal(size=(10, 3))
     with pytest.raises(PreconditionError):
@@ -199,6 +252,23 @@ def test_separation_report_prefers_true_neighbours():
         assert s.mean_within_distance < s.nearest_centroid_distance
     assert by_label["b"].nearest_class == "a"
     assert by_label["c"].nearest_class == "a"
+
+
+def _points(n, kind):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 9))
+    if kind == "duplicated":
+        X[n // 2 :] = X[: n - n // 2]
+    return {"offset": X + 1e6, "tiny": X * 1e-150, "huge": X * 1e150}.get(kind, X)
+
+
+@pytest.mark.parametrize("kind", ["plain", "duplicated", "offset", "tiny", "huge"])
+@pytest.mark.parametrize("n", [2, 3, _DISTANCE_BLOCK - 1, _DISTANCE_BLOCK, _DISTANCE_BLOCK + 1, 1000])
+def test_mean_pairwise_distance_matches_pdist(n, kind):
+    from scipy.spatial.distance import pdist
+
+    X = _points(n, kind)
+    np.testing.assert_allclose(_mean_pairwise_distance(X), np.mean(pdist(X)), rtol=1e-12, atol=0)
 
 
 def test_roundtrip_through_file(tmp_path):
