@@ -1,30 +1,31 @@
 """Small internal helpers, and the one table of JSON kinds that config and BTSR readers share."""
 
-import math
-
 import numpy as np
 
 from .errors import DegenerateDataError, NumericalError, PreconditionError
 
 
-def round_half_up(x: float) -> int:
-    """Round to the nearest integer, halves toward +infinity.
+def round_half_up(x, what):
+    """Sample position x rounded half up, floor(x + 0.5): the one seconds-to-samples rule.
 
-    Used for every seconds-to-samples conversion in the package so that
-    all grids agree on the same convention. floor(x + 0.5) is exact for
-    the half-integer boundary and locale/platform independent.
+    A number gives an int, an array an int64 array. A value that is not
+    finite, or of magnitude 2**63 or more, fits no sample index and raises
+    PreconditionError naming `what`, for an array `what(i)` of its first such i.
     """
-    return math.floor(x + 0.5)
+    a = np.asarray(x, dtype=np.float64)
+    bad = np.flatnonzero(~(np.abs(a) < 2.0**63))
+    if bad.size:
+        name = what(bad[0]) if a.ndim else what
+        raise PreconditionError(f"{name} is {a.flat[bad[0]]:g} samples, beyond any sample index")
+    samples = np.floor(a + 0.5).astype(np.int64)
+    return samples if a.ndim else int(samples)
 
 
 def _finite_float(value):
-    if type(value) not in (int, float):
+    # 2**1024 - 2**970 is the least integer float() cannot convert (it rounds to 2**1024)
+    if type(value) not in (int, float) or not abs(value) < 2**1024 - 2**970:
         return None
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return value if math.isfinite(value) else None
+    return float(value)
 
 
 def _float_list(value):

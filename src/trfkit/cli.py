@@ -102,10 +102,10 @@ _SCHEMA = [
     ("lambda_grid.n", 10, "int", ">= 2"),
     ("folds", 5, "int", ">= 2"),
     ("solver", "closed_form", "str", "in {closed_form, iterative}"),
-    ("iterative.lr", 1e-4, "float", "> 0"),
-    ("iterative.batch_size", 64, "int", ">= 1"),
-    ("iterative.tol", 1e-8, "float", ">= 0"),
-    ("iterative.max_epochs", 1000, "int", ">= 1"),
+    ("iterative.lr", IterativeOptions.lr, "float", "> 0"),
+    ("iterative.batch_size", IterativeOptions.batch_size, "int", ">= 1"),
+    ("iterative.tol", IterativeOptions.tol, "float", ">= 0"),
+    ("iterative.max_epochs", IterativeOptions.max_epochs, "int", ">= 1"),
     ("lda.enabled", False, "bool", ""),
     ("lda.n_components", 9, "int", ">= 1"),
     ("test_fraction", 0.2, "float", "in (0, 1)"),
@@ -248,7 +248,7 @@ def split_segments(segments: SegmentSet, test_fraction: float) -> tuple[SegmentS
     n = len(segments)
     if n < 2:
         raise PreconditionError(f"need at least 2 segments to split, got {n}")
-    n_test = max(1, round_half_up(n * test_fraction))
+    n_test = max(1, round_half_up(n * test_fraction, f"test_fraction={test_fraction} of {n}"))
     if n_test >= n:
         raise PreconditionError(
             f"test fraction {test_fraction} leaves no training segments out of {n}"

@@ -80,18 +80,9 @@ class DesignMatrix:
 
 def lag_range_to_samples(tmin_s: float, tmax_s: float, fs_hz: float) -> LagSpec:
     """Convert a lag window in seconds to an inclusive integer sample range."""
-    if not (fs_hz > 0):
-        raise PreconditionError(f"fs_hz must be positive, got {fs_hz}")
-    if not (tmin_s < tmax_s):
-        raise PreconditionError(f"tmin_s must be below tmax_s, got [{tmin_s}, {tmax_s}]")
-    first = round_half_up(tmin_s * fs_hz)
-    last = round_half_up(tmax_s * fs_hz)
-    return LagSpec(
-        tmin_s=tmin_s,
-        tmax_s=tmax_s,
-        fs_hz=fs_hz,
-        lag_samples=list(range(first, last + 1)),
-    )
+    first = round_half_up(tmin_s * fs_hz, f"tmin_s={tmin_s} at fs_hz={fs_hz}")
+    last = round_half_up(tmax_s * fs_hz, f"tmax_s={tmax_s} at fs_hz={fs_hz}")
+    return LagSpec(tmin_s, tmax_s, fs_hz, list(range(first, last + 1)))
 
 
 def build_lagged_matrix(x: FeatureSeries, spec: LagSpec) -> DesignMatrix:

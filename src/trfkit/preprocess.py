@@ -143,18 +143,20 @@ def impulse_align(seq: WordEventSequence, fs_hz: float, n_samples: int) -> Featu
         raise PreconditionError(f"fs_hz must be positive, got {fs_hz}")
     if n_samples < 1:
         raise PreconditionError(f"n_samples must be >= 1, got {n_samples}")
+    events = seq.events
+    with np.errstate(over="ignore"):  # an onset beyond the float range is inf, which is refused
+        idx = round_half_up(
+            seq.onsets() * fs_hz,
+            lambda i: f"event {i} ({events[i].token!r}) at {events[i].onset_s}s and {fs_hz} Hz",
+        )
+    bad = np.flatnonzero((idx < 0) | (idx >= n_samples))
+    if bad.size:
+        detail = ", ".join(
+            f"{events[i].token!r}@{events[i].onset_s}s->sample {idx[i]}" for i in bad[:10]
+        ) + ("" if bad.size <= 10 else f" and {bad.size - 10} more")
+        raise PreconditionError(f"event(s) fall outside the {n_samples}-sample grid: {detail}")
     out = np.zeros((n_samples, seq.dim))
-    if len(seq):
-        idx = np.array([round_half_up(ev.onset_s * fs_hz) for ev in seq.events])
-        bad = np.flatnonzero((idx < 0) | (idx >= n_samples))
-        if bad.size:
-            detail = ", ".join(
-                f"{seq.events[i].token!r}@{seq.events[i].onset_s}s->sample {idx[i]}" for i in bad
-            )
-            raise PreconditionError(
-                f"event(s) fall outside the {n_samples}-sample grid: {detail}"
-            )
-        np.add.at(out, idx, seq.vectors())
+    np.add.at(out, idx, seq.vectors())
     return FeatureSeries(data=out, fs_hz=fs_hz)
 
 
@@ -172,14 +174,14 @@ def segment(x: FeatureSeries, y: EegRecording, window_s: float, overlap_frac: fl
         )
     if not (0.0 <= overlap_frac < 1.0):
         raise PreconditionError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
-    window = round_half_up(window_s * x.fs_hz)
+    window = round_half_up(window_s * x.fs_hz, f"window_s={window_s} at fs_hz={x.fs_hz}")
     if window < 1:
         raise PreconditionError(f"window of {window_s}s is shorter than one sample")
     if window > x.n_samples:
         raise PreconditionError(
             f"window of {window} samples does not fit into {x.n_samples} samples"
         )
-    hop = round_half_up(window * (1.0 - overlap_frac))
+    hop = round_half_up(window * (1.0 - overlap_frac), f"hop at overlap_frac={overlap_frac}")
     if hop < 1:
         raise PreconditionError(
             f"window {window} with overlap {overlap_frac} yields an empty hop"

@@ -113,7 +113,7 @@ class IterativeFit:
 
 @dataclass(frozen=True)
 class IterativeOptions:
-    """Settings of the gradient-descent solver, named as fit_iterative takes them."""
+    """Gradient-descent solver settings; fit_iterative and the config read their defaults here."""
 
     lr: float = 1e-4
     batch_size: int = 64
@@ -230,11 +230,11 @@ def fit_iterative(
     X,
     Y,
     lam: float,
-    lr: float = 1e-4,
-    batch_size: int = 64,
-    max_epochs: int = 1000,
-    tol: float = 1e-8,
-    seed: int = 0,
+    lr: float = IterativeOptions.lr,
+    batch_size: int = IterativeOptions.batch_size,
+    max_epochs: int = IterativeOptions.max_epochs,
+    tol: float = IterativeOptions.tol,
+    seed: int = IterativeOptions.seed,
 ) -> IterativeFit:
     """Mini-batch gradient descent on ||Y - XW||^2/N + lam ||W||^2/N.
 
@@ -548,8 +548,8 @@ def read_trf(path) -> TrfModel:
     if not fs > 0:
         raise ValidationError(f"{path}: fs_hz must be positive, got {fs}")
     try:
-        lag_samples = [round_half_up(t * fs) for t in meta["lag_times_s"]]
-    except OverflowError:  # t * fs beyond the float range
+        lag_samples = [round_half_up(t * fs, "lag time") for t in meta["lag_times_s"]]
+    except PreconditionError:  # a lag time that no sample index can hold
         lag_samples = []
     if not lag_samples or lag_samples != list(
         range(lag_samples[0], lag_samples[0] + len(lag_samples))

@@ -66,10 +66,7 @@ class SynthSpec:
                 f"need at least one channel and one feature, got "
                 f"{self.n_channels} channels / {self.n_features} features"
             )
-        if not (self.tmin_s < self.tmax_s):
-            raise PreconditionError(
-                f"tmin_s must be below tmax_s, got [{self.tmin_s}, {self.tmax_s}]"
-            )
+        self.lag_spec()  # checks the lag window
         if not (self.snr > 0):
             raise PreconditionError(f"snr must be positive, got {self.snr}")
         if self.duration_s * self.word_rate_hz < 10:
@@ -79,7 +76,7 @@ class SynthSpec:
 
     @property
     def n_samples(self) -> int:
-        return round_half_up(self.duration_s * self.fs_hz)
+        return round_half_up(self.duration_s * self.fs_hz, "duration_s * fs_hz")
 
     def lag_spec(self) -> LagSpec:
         return lag_range_to_samples(self.tmin_s, self.tmax_s, self.fs_hz)
@@ -155,14 +152,20 @@ def gen_response(
         )
 
     T = spec.n_samples
+    events = words.events
+    with np.errstate(over="ignore"):  # an onset beyond the float range is inf, which is refused
+        bases = round_half_up(
+            words.onsets() * spec.fs_hz,
+            lambda k: f"event {k} ({events[k].token!r}) at {events[k].onset_s}s and {spec.fs_hz} Hz",
+        )
+    late = np.searchsorted(bases, T)  # onsets are non-negative and non-decreasing
+    if late < len(events):
+        raise PreconditionError(
+            f"event {events[late].token!r} at {events[late].onset_s}s falls outside the recording"
+        )
     lags = np.asarray(lag_spec.lag_samples)
     clean = np.zeros((spec.n_channels, T))
-    for ev in words.events:
-        base = round_half_up(ev.onset_s * spec.fs_hz)
-        if not (0 <= base < T):
-            raise PreconditionError(
-                f"event {ev.token!r} at {ev.onset_s}s falls outside the recording"
-            )
+    for ev, base in zip(events, bases):
         contrib = kernel.kernel @ ev.vector  # (L, E)
         t_idx = base + lags
         keep = (t_idx >= 0) & (t_idx < T)

@@ -335,13 +335,13 @@ def _read_checked(path, rank: int, kinds: dict[str, str]) -> tuple[np.ndarray, d
 # EEG recordings
 
 
-def write_eeg(path, rec: EegRecording, dtype: str = "f64") -> None:
+def write_eeg(path, rec: EegRecording) -> None:
     meta = {
         "fs_hz": float(rec.fs_hz),
         "channel_names": list(rec.channel_names),
         "subject_id": str(rec.subject_id),
     }
-    write_tensor(path, dtype, list(rec.data.shape), meta, rec.data)
+    write_tensor(path, "f64", list(rec.data.shape), meta, rec.data)
 
 
 def read_eeg(path) -> EegRecording:

@@ -590,6 +590,67 @@ def test_recording_shape_numpy_cannot_hold_exits_2_with_one_error_line(tmp_path,
     assert "sub00_eeg.btsr" in err[0] and str([0, 2**62]) in err[0]
 
 
+def _last_onset_huge(out):
+    """Set the last onset in words.tsv to 1e308; return that event's token."""
+    path = out / "words.tsv"
+    *lines, last = path.read_text(encoding="utf-8").splitlines()
+    fields = last.split("\t")
+    fields[1] = "1e308"
+    path.write_text("\n".join(lines + ["\t".join(fields)]) + "\n", encoding="utf-8")
+    return repr(fields[0])
+
+
+def _recording_rate_huge(out):
+    """Set the EEG header's fs_hz to 1e308; return the first event's token."""
+    path = out / "sub00_eeg.btsr"
+    tf = read_tensor(path)
+    write_tensor(path, tf.dtype, tf.shape, {**tf.meta, "fs_hz": 1e308}, tf.values)
+    return repr(read_word_events(out / "words.tsv").events[0].token)
+
+
+def _files(root: Path) -> dict:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command, change, named",
+    [
+        ("synth", "synth.fs_hz=1e308", "fs_hz"),
+        ("synth", "synth.duration_s=1e308", "duration_s"),
+        ("synth", "lags.tmax_s=1e308", "tmax_s"),
+        ("synth", "lags.tmin_s=-1e308", "tmin_s"),
+        ("fit", "lags.tmax_s=1e308", "tmax_s"),
+        ("fit", "lags.tmin_s=-1e308", "tmin_s"),
+        ("synth", "lags.tmax_s=1e18", "tmax_s"),
+        ("fit", "window_s=1e308", "window_s"),
+        ("evaluate", "window_s=1e308", "window_s"),
+        ("fit", _last_onset_huge, None),
+        ("evaluate", _last_onset_huge, None),
+        ("fit", _recording_rate_huge, None),
+        ("evaluate", _recording_rate_huge, None),
+    ],
+)
+def test_time_no_sample_index_can_hold_exits_2_with_one_error_line(
+    tmp_path, capsys, command, change, named
+):
+    config = _write_config(tmp_path)
+    out = tmp_path / "out"
+    for earlier in ("synth", "fit")[: ("synth", "fit", "evaluate").index(command)]:
+        assert _run(earlier, "--config", str(config)) == 0
+    argv = [command, "--config", str(config)]
+    if isinstance(change, str):
+        argv += ["--set", change]
+    else:
+        named = change(out)  # a corrupted input file; the error names the event
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert _run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert named in err[0] and "sample index" in err[0]
+    assert _files(tmp_path) == before
+
+
 def test_divergence_exits_4(tmp_path):
     config = _write_config(
         tmp_path,

@@ -151,6 +151,23 @@ def test_impulse_out_of_range_lists_events():
         impulse_align(seq, fs_hz=100.0, n_samples=20)
 
 
+def test_impulse_out_of_range_list_is_capped_at_ten_events():
+    seq = _seq([(0.05, [1.0])] + [(1.0 + k, [1.0]) for k in range(69)])
+    with pytest.raises(PreconditionError) as err:
+        impulse_align(seq, fs_hz=100.0, n_samples=20)
+    message = str(err.value)
+    assert message.count("->sample") == 10
+    assert "'w10'" in message and "'w11'" not in message
+    assert message.endswith(" and 59 more")
+
+
+def test_impulse_onset_no_sample_index_can_hold_is_named_in_float_notation():
+    seq = _seq([(0.05, [1.0]), (1e300, [1.0])])
+    with pytest.raises(PreconditionError, match=r"event 1 \('w1'\) .* 1e\+302 samples") as err:
+        impulse_align(seq, fs_hz=100.0, n_samples=20)
+    assert not any(len(word) > 30 for word in str(err.value).split())
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(

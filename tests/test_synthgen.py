@@ -167,3 +167,11 @@ def test_circle_layout_geometry():
         assert e.x**2 + e.y**2 == pytest.approx(1.0, abs=1e-12)
     assert layout.entries[0].x == pytest.approx(1.0)
     assert layout.entries[0].y == pytest.approx(0.0)
+
+
+def test_response_names_the_first_event_past_the_recording():
+    spec = _spec()
+    words = gen_words(replace(spec, duration_s=120.0))
+    first_late = next(ev for ev in words.events if ev.onset_s * spec.fs_hz + 0.5 >= 6000)
+    with pytest.raises(PreconditionError, match=f"event {first_late.token!r} at .* falls outside"):
+        gen_response(gen_kernel(spec), words, spec)
