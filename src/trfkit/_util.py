@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from .errors import DegenerateDataError, NumericalError, PreconditionError
+from .errors import DegenerateDataError, FormatError, NumericalError, PreconditionError
+
+
+def decode_utf8(raw: bytes, path, offset: int = 0) -> str:
+    """raw decoded as UTF-8; a bad byte raises FormatError naming path and its file offset.
+
+    `offset` is the file position of raw's first byte.
+    """
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 at byte offset {offset + e.start}") from None
 
 
 def round_half_up(x, what):

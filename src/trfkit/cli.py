@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import JSON_KINDS, round_half_up
+from ._util import JSON_KINDS, decode_utf8, round_half_up
 from .errors import (
     ConfigError,
     FormatError,
@@ -215,11 +215,11 @@ def load_config(
     """
     config_path = Path(config_path)
     try:
-        text = config_path.read_text(encoding="utf-8")
+        raw = config_path.read_bytes()
     except OSError as e:
         raise ConfigError(f"cannot read config {config_path}: {e}") from None
     try:
-        user_cfg = json.loads(text)
+        user_cfg = json.loads(decode_utf8(raw, config_path))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{config_path}: malformed JSON at offset {e.pos}: {e.msg}") from None
     if not isinstance(user_cfg, dict):

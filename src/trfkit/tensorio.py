@@ -21,13 +21,14 @@ decreasing onsets) raise ValidationError. Both are ordinary catchable exceptions
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import JSON_KINDS
+from ._util import JSON_KINDS, decode_utf8
 from .errors import FormatError, ValidationError
 
 __all__ = [
@@ -131,6 +132,16 @@ class WordEvent:
     pos_tag: str | None = None
 
 
+def _check_finite_rows(events: list[WordEvent], vectors: np.ndarray) -> None:
+    """Raise ValidationError naming the first event whose row of vectors is not all finite."""
+    bad = _first_nonfinite(vectors)
+    if bad is not None:
+        k, d = bad
+        raise ValidationError(
+            f"event {k} ({events[k].token!r}): non-finite value {vectors[k, d]} in vector entry {d}"
+        )
+
+
 @dataclass
 class WordEventSequence:
     """Chronological word events with a common feature dimensionality."""
@@ -139,32 +150,32 @@ class WordEventSequence:
     dim: int
 
     def __post_init__(self):
-        bad = _first_nonfinite(self.onsets())
+        events = self.events
+        onsets = self.onsets()
+        bad = _first_nonfinite(onsets)
         if bad is not None:
-            ev = self.events[bad[0]]
+            ev = events[bad[0]]
             raise ValidationError(f"event {bad[0]} ({ev.token!r}): non-finite onset {ev.onset_s}")
-        prev = -np.inf
-        for k, ev in enumerate(self.events):
+        for ev in events:
+            ev.vector = np.asarray(ev.vector, dtype=np.float64)
+        # the first event in order that breaks a rule; its rules are checked in this order
+        prev = np.concatenate(([-np.inf], onsets[:-1]))
+        wrong_shape = np.fromiter((ev.vector.shape != (self.dim,) for ev in events), bool, len(events))
+        faults = np.flatnonzero((onsets < 0) | (onsets < prev) | wrong_shape)
+        if faults.size:
+            k = int(faults[0])
+            ev = events[k]
             if ev.onset_s < 0:
                 raise ValidationError(f"event {k} ({ev.token!r}): negative onset {ev.onset_s}")
-            if ev.onset_s < prev:
+            if onsets[k] < prev[k]:
                 raise ValidationError(
-                    f"event {k} ({ev.token!r}): onset {ev.onset_s} decreases below {prev}"
+                    f"event {k} ({ev.token!r}): onset {ev.onset_s} decreases below "
+                    f"{events[k - 1].onset_s}"
                 )
-            prev = ev.onset_s
-            vec = np.asarray(ev.vector, dtype=np.float64)
-            if vec.shape != (self.dim,):
-                raise ValidationError(
-                    f"event {k} ({ev.token!r}): vector has shape {vec.shape}, expected ({self.dim},)"
-                )
-            ev.vector = vec
-        bad = _first_nonfinite(self.vectors())
-        if bad is not None:
-            k, d = bad
-            ev = self.events[k]
             raise ValidationError(
-                f"event {k} ({ev.token!r}): non-finite value {ev.vector[d]} in vector entry {d}"
+                f"event {k} ({ev.token!r}): vector has shape {ev.vector.shape}, expected ({self.dim},)"
             )
+        _check_finite_rows(events, self.vectors())
 
     def __len__(self) -> int:
         return len(self.events)
@@ -175,21 +186,25 @@ class WordEventSequence:
     def vectors(self) -> np.ndarray:
         if not self.events:
             return np.zeros((0, self.dim))
-        return np.stack([ev.vector for ev in self.events])
+        return np.array([ev.vector for ev in self.events], dtype=np.float64)
 
     def with_vectors(self, vectors) -> "WordEventSequence":
-        """The same events carrying new vectors, one row per event."""
+        """The same events carrying new vectors, one row per event.
+
+        Only the new vectors are checked: the onsets are this sequence's own.
+        """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(self.events):
             raise ValidationError(
                 f"need one vector row per event ({len(self.events)}), got shape {vectors.shape}"
             )
-        return WordEventSequence(
-            events=[
-                WordEvent(ev.token, ev.onset_s, v, ev.pos_tag) for ev, v in zip(self.events, vectors)
-            ],
-            dim=vectors.shape[1],
-        )
+        _check_finite_rows(self.events, vectors)
+        seq = object.__new__(WordEventSequence)  # skips __post_init__'s checks of the onsets
+        seq.events = [
+            WordEvent(ev.token, ev.onset_s, v, ev.pos_tag) for ev, v in zip(self.events, vectors)
+        ]
+        seq.dim = vectors.shape[1]
+        return seq
 
 
 @dataclass
@@ -234,11 +249,7 @@ def _parse_header(raw: bytes, path) -> tuple[dict, int]:
             f"{min(len(raw), _HEADER_LIMIT)} bytes (byte offset {min(len(raw), _HEADER_LIMIT)})"
         )
     try:
-        text = raw[:nl].decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: header is not UTF-8 at byte offset {e.start}") from None
-    try:
-        header = json.loads(text)
+        header = json.loads(decode_utf8(raw[:nl], path))
     except json.JSONDecodeError as e:
         raise FormatError(
             f"{path}: malformed header JSON at byte offset {e.pos}: {e.msg}"
@@ -364,57 +375,68 @@ def _format_float(x: float) -> str:
 
 def write_word_events(path, seq: WordEventSequence) -> None:
     cols = ["token", "onset_s", "pos"] + [f"v{i}" for i in range(seq.dim)]
-    lines = ["\t".join(cols)]
+    lines = ["\t".join(cols) + "\n"]
     for k, ev in enumerate(seq.events):
         for piece, what in ((ev.token, "token"), (ev.pos_tag or "", "pos tag")):
             if "\t" in piece or "\n" in piece:
                 raise ValidationError(f"event {k}: {what} {piece!r} contains a tab or newline")
-        row = [ev.token, _format_float(ev.onset_s), ev.pos_tag or ""]
-        row.extend(_format_float(v) for v in ev.vector)
-        lines.append("\t".join(row))
+        # repr of the Python floats of tolist() is _format_float of each entry
+        row = [ev.token, _format_float(ev.onset_s), ev.pos_tag or "", *map(repr, ev.vector.tolist())]
+        lines.append("\t".join(row) + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines)
+
+
+def _lines(fh, path):
+    """The lines of a binary file split at LF alone, each decoded from UTF-8 without its LF."""
+    offset = 0
+    for raw in fh:
+        yield decode_utf8(raw.removesuffix(b"\n"), path, offset)
+        offset += len(raw)
 
 
 def read_word_events(path) -> WordEventSequence:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError(f"{path}: empty file, expected a header line")
+    """Stream a word-event TSV: each row is split once and its features cast in one numpy call.
 
-    header = lines[0].split("\t")
-    if header[:3] != ["token", "onset_s", "pos"]:
-        raise FormatError(
-            f"{path}: line 1: header must start with token/onset_s/pos, got {header[:3]}"
-        )
-    dim = len(header) - 3
-    expected_vs = [f"v{i}" for i in range(dim)]
-    if header[3:] != expected_vs:
-        raise FormatError(
-            f"{path}: line 1: feature columns must be v0..v{dim - 1}, got {header[3:]}"
-        )
-
-    events = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != 3 + dim:
+    Malformed rows raise FormatError as they are met, so the first in file
+    order is the one reported; the rules of WordEventSequence are checked
+    once, after the last row.
+    """
+    with open(path, "rb") as fh:
+        lines = _lines(fh, path)
+        header = next(lines, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file, expected a header line")
+        header = header.split("\t")
+        if header[:3] != ["token", "onset_s", "pos"]:
             raise FormatError(
-                f"{path}: line {lineno}: expected {3 + dim} fields, got {len(fields)}"
+                f"{path}: line 1: header must start with token/onset_s/pos, got {header[:3]}"
             )
-        token, onset_text, pos = fields[0], fields[1], fields[2]
-        try:
-            onset = float(onset_text)
-        except ValueError:
+        dim = len(header) - 3
+        expected_vs = [f"v{i}" for i in range(dim)]
+        if header[3:] != expected_vs:
             raise FormatError(
-                f"{path}: line {lineno}: onset_s {onset_text!r} is not a number"
-            ) from None
-        try:
-            vec = np.array([float(v) for v in fields[3:]], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-numeric feature value") from None
-        events.append(WordEvent(token=token, onset_s=onset, vector=vec, pos_tag=pos or None))
+                f"{path}: line 1: feature columns must be v0..v{dim - 1}, got {header[3:]}"
+            )
+
+        events = []
+        for lineno, line in enumerate(lines, start=2):
+            fields = line.split("\t")
+            if len(fields) != 3 + dim:
+                raise FormatError(
+                    f"{path}: line {lineno}: expected {3 + dim} fields, got {len(fields)}"
+                )
+            try:
+                onset = float(fields[1])
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {lineno}: onset_s {fields[1]!r} is not a number"
+                ) from None
+            try:  # numpy's str -> float64 cast accepts exactly what float() does
+                vec = np.array(fields[3:], dtype=np.float64)
+            except ValueError:
+                raise FormatError(f"{path}: line {lineno}: non-numeric feature value") from None
+            events.append(WordEvent(fields[0], onset, vec, fields[2] or None))
 
     try:
         return WordEventSequence(events=events, dim=dim)
@@ -435,8 +457,9 @@ def write_channel_layout(path, layout: ChannelLayout) -> None:
 
 
 def read_channel_layout(path) -> ChannelLayout:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise FormatError(f"{path}: empty file, expected a header line")
     if rows[0] != ["name", "x", "y"]:
@@ -465,8 +488,8 @@ def read_channel_layout(path) -> ChannelLayout:
 
 def read_json(path):
     """Read a report document; malformed JSON raises FormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

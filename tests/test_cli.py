@@ -651,6 +651,33 @@ def test_time_no_sample_index_can_hold_exits_2_with_one_error_line(
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("fit", "out/words.tsv"),
+        ("evaluate", "out/layout.csv"),
+        ("evaluate", "out/sub00_cv.json"),
+        ("fit", "config.json"),
+    ],
+)
+def test_non_utf8_byte_in_a_text_input_exits_3_naming_file_and_offset(
+    tmp_path, capsys, command, name
+):
+    config = _write_config(tmp_path)
+    for earlier in ("synth", "fit")[: ("synth", "fit", "evaluate").index(command)]:
+        assert _run(earlier, "--config", str(config)) == 0
+    path = tmp_path / name
+    raw = path.read_bytes()
+    offset = len(raw) // 2
+    path.write_bytes(raw[:offset] + b"\xff" + raw[offset + 1 :])
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert _run(command, "--config", str(config)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: not UTF-8 at byte offset {offset}"]
+    assert _files(tmp_path) == before
+
+
 def test_divergence_exits_4(tmp_path):
     config = _write_config(
         tmp_path,

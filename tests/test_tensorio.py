@@ -19,6 +19,7 @@ from trfkit.tensorio import (
     WordEventSequence,
     read_channel_layout,
     read_eeg,
+    read_json,
     read_tensor,
     read_tensor_header,
     read_word_events,
@@ -408,6 +409,168 @@ def test_coincident_onsets_are_legal_in_the_file(tmp_path):
     )
     seq = read_word_events(path)
     assert [ev.token for ev in seq.events] == ["a", "b"]
+
+
+_FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+
+
+def _reference_tsv(tokens, onsets, tags, vectors, dim) -> bytes:
+    """The word-event TSV of these events, each number formatted as repr(float(x))."""
+    lines = ["\t".join(["token", "onset_s", "pos"] + [f"v{i}" for i in range(dim)])]
+    for token, onset, tag, vec in zip(tokens, onsets, tags, vectors):
+        lines.append("\t".join([token, repr(float(onset)), tag or ""] + [repr(float(x)) for x in vec]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_word_events_roundtrip_is_bit_exact(tmp_path_factory, dim, data):
+    n = data.draw(st.integers(0, 6))
+    tokens = data.draw(st.lists(_FIELD_TEXT, min_size=n, max_size=n))
+    tags = data.draw(st.lists(st.none() | _FIELD_TEXT.filter(bool), min_size=n, max_size=n))
+    onsets = sorted(data.draw(st.lists(_FINITE.map(abs), min_size=n, max_size=n)))
+    vectors = [data.draw(st.lists(_FINITE, min_size=dim, max_size=dim)) for _ in range(n)]
+    seq = WordEventSequence(
+        events=[WordEvent(*ev) for ev in zip(tokens, onsets, map(np.array, vectors), tags)], dim=dim
+    )
+    path = tmp_path_factory.mktemp("words") / "w.tsv"
+    write_word_events(path, seq)
+    assert path.read_bytes() == _reference_tsv(tokens, onsets, tags, vectors, dim)
+    back = read_word_events(path)
+    assert [(ev.token, ev.pos_tag) for ev in back.events] == list(zip(tokens, tags))
+    assert back.onsets().tobytes() == np.array(onsets, dtype=np.float64).tobytes()
+    assert back.vectors().tobytes() == np.array(vectors, dtype=np.float64).reshape(n, dim).tobytes()
+
+
+# strings on which a str -> float64 cast could part ways with float()
+_EDGE_NUMBERS = [
+    "1_0", "1__0", "_1", "1_", "١", "١٢.٥", "𝟏", "²", "½", " 1.5 ", "1.5\r", "\xa01\xa0", "\x0c1",
+    "\x851", " 1", "nan", "-nan", "NaN", "Infinity", "-inf", "iNF", "infinity ", "1e999",
+    "-1e999", "1e-400", "5e-324", "2.4703282292062327e-324", "1.7976931348623159e308", "-0", "+1",
+    "1.", ".5", ".", "1e5", "1E+05", "e5", "1e", "0x10", "0b1", "1j", "1,5", "+-1", "", "  ",
+    "\x001", "True", "123456789012345678901234567890", "0.1",
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_NUMBERS)
+def test_feature_values_parse_exactly_as_float_does(tmp_path, text):
+    path = _events_tsv(tmp_path, f"token\tonset_s\tpos\tv0\tv1\na\t0.5\t\t{text}\t2.0\n")
+    try:
+        expected = float(text)
+    except ValueError:
+        with pytest.raises(FormatError, match="line 2: non-numeric feature value"):
+            read_word_events(path)
+        return
+    if not np.isfinite(expected):
+        with pytest.raises(ValidationError, match="non-finite value"):
+            read_word_events(path)
+        return
+    got = read_word_events(path).vectors()[0, 0]
+    assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+@pytest.mark.parametrize(
+    "line3, line5, message",
+    [
+        ("c\t0.3\t\tx\t1.0", "e\t0.5\t\t1.0", "line 3: non-numeric feature value"),
+        ("c\t0.3\t\t1.0", "e\t0.5\t\tx\t1.0", "line 3: expected 5 fields, got 4"),
+        ("c\tsoon\t\t1.0\t1.0", "e\t0.5\t\t1.0", "line 3: onset_s 'soon' is not a number"),
+    ],
+)
+def test_first_malformed_row_in_file_order_is_reported(tmp_path, line3, line5, message):
+    rows = ["a\t0.1\t\t1.0\t1.0", line3, "d\t0.4\t\t1.0\t1.0", line5]
+    path = _events_tsv(tmp_path, "token\tonset_s\tpos\tv0\tv1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_word_events(path)
+
+
+def _loop_validation_error(events, dim):
+    """The first rule an event breaks, checked one event at a time: the reference for the checks."""
+    for k, ev in enumerate(events):
+        if not np.isfinite(ev.onset_s):
+            return f"event {k} ({ev.token!r}): non-finite onset {ev.onset_s}"
+    prev = -np.inf
+    for k, ev in enumerate(events):
+        if ev.onset_s < 0:
+            return f"event {k} ({ev.token!r}): negative onset {ev.onset_s}"
+        if ev.onset_s < prev:
+            return f"event {k} ({ev.token!r}): onset {ev.onset_s} decreases below {prev}"
+        prev = ev.onset_s
+        vec = np.asarray(ev.vector, dtype=np.float64)
+        if vec.shape != (dim,):
+            return f"event {k} ({ev.token!r}): vector has shape {vec.shape}, expected ({dim},)"
+    for k, ev in enumerate(events):
+        for d, x in enumerate(np.asarray(ev.vector, dtype=np.float64)):
+            if not np.isfinite(x):
+                return f"event {k} ({ev.token!r}): non-finite value {x} in vector entry {d}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sequence_reports_the_first_broken_rule_of_the_event_loop(data):
+    onset = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, float("nan"), float("inf")])
+    value = st.sampled_from([0.0, 1.5, -2.0, float("inf"), float("nan")])
+    dim = data.draw(st.integers(0, 3))
+    events = [
+        WordEvent(f"w{k}", data.draw(onset), data.draw(st.lists(value, min_size=0, max_size=4)))
+        for k in range(data.draw(st.integers(0, 6)))
+    ]
+    expected = _loop_validation_error(events, dim)
+    if expected is None:
+        assert len(WordEventSequence(events=events, dim=dim)) == len(events)
+    else:
+        with pytest.raises(ValidationError) as info:
+            WordEventSequence(events=events, dim=dim)
+        assert str(info.value) == expected
+
+
+def test_with_vectors_checks_the_new_vectors():
+    seq = WordEventSequence(
+        events=[WordEvent("the", 0.1, np.array([0.25]), "DT"), WordEvent("cat", 0.5, np.array([1.0]))],
+        dim=1,
+    )
+    with pytest.raises(ValidationError, match=r"event 1 \('cat'\): non-finite value inf in vector entry 1"):
+        seq.with_vectors([[1.0, 2.0], [3.0, np.inf]])
+
+
+def test_reading_word_events_holds_little_more_than_the_file(tmp_path):
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((2000, 60))
+    seq = WordEventSequence(
+        events=[WordEvent(f"w{k:06d}", 0.25 * k, vectors[k], "NOUN") for k in range(2000)], dim=60
+    )
+    path = tmp_path / "w.tsv"
+    write_word_events(path, seq)
+    tracemalloc.start()
+    try:
+        read_word_events(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize(
+    "reader, body",
+    [
+        (read_word_events, b"token\tonset_s\tpos\tv0\na\t0.5\t\t1.0\nb\xff\t0.6\t\t2.0\n"),
+        (read_channel_layout, b"name,x,y\nFz,0,1\nC\xffz,0,0\n"),
+        (read_json, b'{"a": 1,\n "b\xff": 2}\n'),
+    ],
+    ids=["word_events", "channel_layout", "json"],
+)
+def test_non_utf8_byte_is_a_format_error_naming_file_and_offset(tmp_path, reader, body):
+    path = tmp_path / "input"
+    path.write_bytes(body)
+    offset = body.index(b"\xff")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8 at byte offset {offset}")):
+        reader(path)
 
 
 # ---------------------------------------------------------------------------
