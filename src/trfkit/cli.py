@@ -349,21 +349,24 @@ def _check_heldout(sid: str, cv_doc, now: dict) -> None:
         )
 
 
-def _fit_one(rec, words, cfg: dict):
-    segs = _prepare_segments(rec, words, cfg)
+def _fit_one(recs: list, i: int, words, cfg: dict):
+    """Fit subject recs[i]; once it is segmented, recs[i] is set to None to release the recording."""
+    sid, fs_hz = recs[i].subject_id, recs[i].fs_hz
+    segs = _prepare_segments(recs[i], words, cfg)
+    recs[i] = None
     train, test = split_segments(segs, cfg["test_fraction"])
     if len(train) < cfg["folds"]:
         raise PreconditionError(
-            f"subject {rec.subject_id}: {len(train)} training segments "
+            f"subject {sid}: {len(train)} training segments "
             f"cannot fill {cfg['folds']} folds"
         )
-    spec = lag_range_to_samples(**cfg["lags"], fs_hz=rec.fs_hz)
+    spec = lag_range_to_samples(**cfg["lags"], fs_hz=fs_hz)
     grid = make_lambda_grid(**cfg["lambda_grid"])
     solver, iterative = cfg["solver"], IterativeOptions(**cfg["iterative"], seed=cfg["seed"])
     report = cross_validate(train, spec, grid, cfg["folds"], solver=solver, iterative=iterative)
-    model = fit_trf(train, spec, report.best_lambda, solver=solver, iterative=iterative)
+    model = fit_trf(train, spec, report.best_lambda, solver=solver, iterative=iterative, cv=report)
     return model, {
-        "subject_id": rec.subject_id,
+        "subject_id": sid,
         "grid": report.grid,
         "per_lambda_scores": [list(map(float, row)) for row in report.per_lambda_scores],
         "best_lambda": report.best_lambda,
@@ -391,20 +394,20 @@ def _read_subjects(cfg: dict):
     return recs, words
 
 
-def _map_subjects(fn, recs, workers: int):
+def _map_subjects(fn, items, workers: int):
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, recs))
-    return [fn(rec) for rec in recs]
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def cmd_fit(cfg: dict, workers: int = 1) -> None:
     """Cross-validate and fit one kernel per subject."""
     recs, words = _read_subjects(cfg)
-    results = _map_subjects(lambda rec: _fit_one(rec, words, cfg), recs, workers)
+    sids = [rec.subject_id for rec in recs]
+    results = _map_subjects(lambda i: _fit_one(recs, i, words, cfg), range(len(recs)), workers)
     writers = []
-    for rec, (model, cv_doc) in zip(recs, results):
-        sid = rec.subject_id
+    for sid, (model, cv_doc) in zip(sids, results):
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))
         _log(f"fit {sid}: best lambda {cv_doc['best_lambda']:g} "

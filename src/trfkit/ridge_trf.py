@@ -11,6 +11,10 @@ Cross-validation, the closed-form fit and evaluation share one path for
 the sufficient statistics: each segment set is stacked into a CSR design
 straight from its non-zero samples, and X^T X and X^T Y come from sparse
 products. The iterative solver works on the dense design.
+Cross-validation's first pass already sums X^T X and X^T Y over every
+training segment; its report carries those totals, and the closed-form
+final fit given the report solves them at the chosen penalty without
+building a design or a Gram again.
 
 Cross-validation assigns segments to contiguous folds in temporal order
 and scores each candidate penalty by the mean Pearson correlation across
@@ -21,8 +25,9 @@ penalty costs one O(P) tridiagonal solve (Golub & Van Loan, Matrix
 Computations, 4th ed., section 8.3.1).
 """
 
+import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,8 +88,7 @@ class TrfModel:
             raise PreconditionError(
                 f"kernel has {E} channels but {len(self.channel_names)} names were given"
             )
-        if self.lam < 0:
-            raise PreconditionError(f"lambda must be nonnegative, got {self.lam}")
+        _check_penalty(self.lam)
 
     @property
     def n_features(self) -> int:
@@ -93,12 +97,20 @@ class TrfModel:
 
 @dataclass
 class CvReport:
-    """Grid-search record: validation score per (penalty, fold)."""
+    """Grid-search record: validation score per (penalty, fold).
+
+    A closed-form search also keeps its training totals (X^T X, X^T Y) over
+    every segment, which fit_trf solves in place of stacking the segments
+    again; they are neither compared nor printed.
+    """
 
     grid: list[float]
     per_lambda_scores: np.ndarray  # (len(grid), n_folds)
     best_lambda: float
     fold_assignment: list[int]
+    normal_equations: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -122,8 +134,16 @@ class IterativeOptions:
     seed: int = 0
 
 
+def _check_penalty(lam, what: str = "lambda") -> None:
+    """A penalty is a finite number >= 0; anything else raises PreconditionError naming it."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise PreconditionError(f"{what} must be a finite number >= 0, got {lam}")
+
+
 def make_lambda_grid(lo: float, hi: float, n: int) -> list[float]:
     """n log-spaced penalties from lo to hi, endpoints exact."""
+    _check_penalty(lo, "lower grid bound")
+    _check_penalty(hi, "upper grid bound")
     if not (0 < lo < hi):
         raise PreconditionError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
     if n < 2:
@@ -221,8 +241,7 @@ def ridge_closed_form(X, Y, lam: float) -> np.ndarray:
         raise PreconditionError(
             f"X has {X.shape[0]} rows but Y has {Y.shape[0]}"
         )
-    if lam < 0:
-        raise PreconditionError(f"lambda must be nonnegative, got {lam}")
+    _check_penalty(lam)
     return _solve_gram(X.T @ X, X.T @ Y, lam)
 
 
@@ -249,8 +268,7 @@ def fit_iterative(
     Y = _as_matrix(Y)
     if X.shape[0] != Y.shape[0]:
         raise PreconditionError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
-    if lam < 0:
-        raise PreconditionError(f"lambda must be nonnegative, got {lam}")
+    _check_penalty(lam)
     if not (lr > 0):
         raise PreconditionError(f"learning rate must be positive, got {lr}")
     if batch_size < 1:
@@ -446,7 +464,8 @@ def cross_validate(
     -------
     CvReport
         Per-(penalty, fold) validation scores, the winning penalty, and
-        the fold index of every segment.
+        the fold index of every segment; in closed form also the training
+        totals over every segment, for fit_trf.
     """
     n = len(segments)
     if k < 2:
@@ -460,8 +479,8 @@ def cross_validate(
     grid = [float(g) for g in grid]
     if not grid:
         raise PreconditionError("lambda grid is empty")
-    if any(g < 0 for g in grid):
-        raise PreconditionError("lambda grid entries must be nonnegative")
+    for g in grid:
+        _check_penalty(g, "lambda grid entry")
     if solver not in ("closed_form", "iterative"):
         raise PreconditionError(f"unknown solver {solver!r}")
 
@@ -477,6 +496,8 @@ def cross_validate(
             G_tot += _gram(X)
         H = [X.T @ Y for X, Y in stacks]
         H_tot = sum(H)
+    else:
+        G_tot = H_tot = None
 
     scores = np.empty((len(grid), k))
     for fi, (X_val, Y_val) in enumerate(stacks):
@@ -494,7 +515,28 @@ def cross_validate(
         per_lambda_scores=scores,
         best_lambda=pick_best_lambda(grid, scores.mean(axis=1)),
         fold_assignment=fold_assignment,
+        normal_equations=None if G_tot is None else (G_tot, H_tot),
     )
+
+
+def _report_totals(cv: CvReport, segments: SegmentSet, spec: LagSpec):
+    """The report's training totals, once they are shown to fit these segments and lags."""
+    if len(cv.fold_assignment) != len(segments):
+        raise PreconditionError(
+            f"the cross-validation report covers {len(cv.fold_assignment)} segments "
+            f"but {len(segments)} were given"
+        )
+    if cv.normal_equations is None:
+        return None
+    G, H = cv.normal_equations
+    P, E = segments.n_features * spec.n_lags, segments.n_channels
+    if G.shape != (P, P) or H.shape != (P, E):
+        raise PreconditionError(
+            f"the cross-validation report's totals have shapes {G.shape} and {H.shape}, "
+            f"but {segments.n_features} features x {spec.n_lags} lags and "
+            f"{E} channels need ({P}, {P}) and ({P}, {E})"
+        )
+    return G, H
 
 
 def fit_trf(
@@ -503,19 +545,28 @@ def fit_trf(
     lam: float,
     solver: str = "closed_form",
     iterative: IterativeOptions = IterativeOptions(),
+    cv: CvReport | None = None,
 ) -> TrfModel:
-    """Fit one kernel on every segment in the set at a fixed penalty."""
+    """Fit one kernel on every segment in the set at a fixed penalty.
+
+    cv, the report of cross_validate on the same segments and lag spec,
+    lets the closed-form fit solve the report's training totals instead of
+    stacking the segments and forming their Gram again. A report that does
+    not fit the segments raises PreconditionError.
+    """
     if len(segments) == 0:
         raise PreconditionError("cannot fit on an empty segment set")
     if spec.fs_hz != segments.fs_hz:
         raise PreconditionError(
             f"sampling rates differ: segments {segments.fs_hz} vs lag spec {spec.fs_hz}"
         )
-    if lam < 0:
-        raise PreconditionError(f"lambda must be nonnegative, got {lam}")
+    _check_penalty(lam)
+    totals = None if cv is None else _report_totals(cv, segments, spec)
     everything = range(len(segments))
     if solver == "closed_form":
-        W = _solve_gram(*_normal_equations(*_sparse_stack(segments, everything, spec)), lam)
+        if totals is None:
+            totals = _normal_equations(*_sparse_stack(segments, everything, spec))
+        W = _solve_gram(*totals, lam)
     elif solver == "iterative":
         X, Y = _stack_segments(segments, everything, spec)
         W = fit_iterative(X, Y, lam, **asdict(iterative)).weights

@@ -20,7 +20,7 @@ from trfkit.cli import (
 from trfkit.errors import ConfigError, PreconditionError, ValidationError
 from trfkit.lda_reduce import ComponentClampWarning
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet, segment
-from trfkit.ridge_trf import read_trf
+from trfkit.ridge_trf import cross_validate, read_trf
 from trfkit.tensorio import EegRecording, read_eeg, read_tensor, read_word_events, write_tensor
 
 FAST_CONFIG = {
@@ -344,6 +344,39 @@ def test_workers_do_not_change_results(tmp_path):
     _run("fit", "--config", str(config), "--output", str(tmp_path / "w2"), "--workers", "2")
     for name in ("sub00_trf.btsr", "sub01_trf.btsr", "sub00_cv.json", "sub01_cv.json"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_fit_releases_each_recording_once_it_is_segmented(tmp_path, monkeypatch):
+    import weakref
+
+    import trfkit.cli as cli
+
+    config = _write_config(
+        tmp_path,
+        {
+            "synth.n_subjects": 2,
+            "paths.eeg": ["out/sub00_eeg.btsr", "out/sub01_eeg.btsr"],
+        },
+    )
+    assert _run("synth", "--config", str(config)) == 0
+    raw = {}
+
+    def reading(path):
+        rec = read_eeg(path)
+        raw[rec.subject_id] = weakref.ref(rec.data)
+        return rec
+
+    alive = []
+
+    def checking(*args, **kwargs):
+        alive.append(sorted(sid for sid, ref in raw.items() if ref() is not None))
+        return cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_eeg", reading)
+    monkeypatch.setattr(cli, "cross_validate", checking)
+    assert _run("fit", "--config", str(config)) == 0
+    # subjects are fitted in order: the second is not yet segmented while the first is
+    assert alive == [["sub01"], []]
 
 
 def test_iterative_solver_runs_end_to_end(tmp_path):

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -41,7 +43,7 @@ from trfkit.tensorio import write_tensor
 
 
 # ---------------------------------------------------------------------------
-# lambda grid
+# lambda grid and the penalty rule
 
 
 def test_grid_has_exact_endpoints():
@@ -67,6 +69,32 @@ def test_grid_rejects_bad_bounds():
         make_lambda_grid(1e2, 1e1, 10)
     with pytest.raises(PreconditionError):
         make_lambda_grid(1e-3, 1e5, 1)
+
+
+def _penalty_calls():
+    """Every entry point that takes a penalty, as a call of the penalty alone."""
+    segs, spec = _segments(n_segments=6)
+    X, Y = _standardized_problem(0, n=20, p=3)
+    model = dict(kernel=np.zeros((spec.n_lags, 2, 2)), lag_spec=spec, channel_names=["a", "b"])
+    return {
+        "grid_lo": lambda lam: make_lambda_grid(lam, 1e5, 4),
+        "grid_hi": lambda lam: make_lambda_grid(1e-3, lam, 4),
+        "ridge_closed_form": lambda lam: ridge_closed_form(X, Y, lam),
+        "fit_iterative": lambda lam: fit_iterative(X, Y, lam, max_epochs=2),
+        "fit_trf": lambda lam: fit_trf(segs, spec, lam),
+        "cross_validate": lambda lam: cross_validate(segs, spec, [1.0, lam], k=3),
+        "TrfModel": lambda lam: TrfModel(**model, lam=lam),
+    }
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize(
+    "entry",
+    ["grid_lo", "grid_hi", "ridge_closed_form", "fit_iterative", "fit_trf", "cross_validate", "TrfModel"],
+)
+def test_penalty_that_is_not_a_finite_number_at_least_zero_is_refused_by_name(entry, lam):
+    with pytest.raises(PreconditionError, match=re.escape(f"must be a finite number >= 0, got {lam}")):
+        _penalty_calls()[entry](lam)
 
 
 def test_pick_best_lambda_breaks_ties_upward():
@@ -555,6 +583,49 @@ def test_closed_form_cv_scores_equal_summed_gram_reference_exactly(density, k):
     grid = make_lambda_grid(1e-2, 1e3, 6)
     rep = cross_validate(segs, spec, grid, k=k, solver="closed_form")
     assert np.array_equal(rep.per_lambda_scores, _summed_gram_cv_scores(segs, spec, grid, k))
+
+
+@pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
+def test_fit_from_cv_report_builds_no_design_and_matches_the_restacked_fit(monkeypatch, density):
+    import trfkit.ridge_trf as ridge_trf
+
+    segs, spec = _segments(seed=5, n_segments=10, n=120, d=3, e=3, lags=(-3, 8), density=density)
+    rep = cross_validate(segs, spec, make_lambda_grid(1e-2, 1e3, 6), k=5)
+    restacked = flatten_trf(fit_trf(segs, spec, rep.best_lambda))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_lagged_csr(*args, **kwargs)
+
+    monkeypatch.setattr(ridge_trf, "build_lagged_csr", counting)
+    model = fit_trf(segs, spec, rep.best_lambda, cv=rep)
+    assert calls == []
+    assert model.lam == rep.best_lambda
+    # the report's Gram sums the folds' Grams, so it may differ in the last bits
+    assert np.max(np.abs(flatten_trf(model) - restacked)) <= 1e-12 * np.max(np.abs(restacked))
+
+
+def test_fit_from_cv_report_holds_one_copy_of_the_gram():
+    segs, spec = _segments(seed=2, n_segments=16, n=200, d=2, e=2, lags=(0, 149), density=0.02)
+    gram_bytes = (2 * spec.n_lags) ** 2 * 8
+    rep = cross_validate(segs, spec, [0.1, 10.0], k=2)  # loads scipy before tracing
+    peak = _traced_peak(lambda: fit_trf(segs, spec, rep.best_lambda, cv=rep))
+    assert peak < 1.5 * gram_bytes, f"{peak / gram_bytes:.2f} Grams"
+
+
+def test_fit_refuses_a_cv_report_that_does_not_fit_its_segments():
+    segs, spec = _segments(seed=3, n_segments=9, e=2)
+    rep = cross_validate(segs, spec, [1.0, 10.0], k=3)
+    fit_trf(segs, spec, rep.best_lambda, cv=rep)  # the report fits its own segments
+    other_channels, _ = _segments(seed=3, n_segments=9, e=3)
+    for segments, lags, message in [
+        (segs.subset(range(8)), spec, "covers 9 segments but 8"),
+        (segs, _lag_spec(range(0, 6)), r"need \(12, 12\) and \(12, 2\)"),
+        (other_channels, spec, r"need \(10, 10\) and \(10, 3\)"),
+    ]:
+        with pytest.raises(PreconditionError, match=message):
+            fit_trf(segments, lags, rep.best_lambda, cv=rep)
 
 
 def test_closed_form_cv_memory_does_not_grow_with_fold_count():
