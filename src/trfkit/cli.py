@@ -5,9 +5,9 @@ resolve against the config file's directory, so a config can travel with
 its data. `--set section.key=value` overrides single entries; `--seed`
 and `--output` override their config counterparts.
 
-Identical config and seed produce byte-identical output trees. All
-outputs of a command are staged and moved into place only after the
-whole command has succeeded, so a failed run leaves no partial files.
+Identical config and seed give byte-identical trees for one machine, library
+versions and BLAS thread count. Outputs are staged and moved into place only
+after the whole command succeeds, so a failed run leaves no partial files.
 
 Exit codes: 0 success, 2 config or validation error, 3 data-format
 error, 4 numerical failure.
@@ -461,20 +461,16 @@ def cmd_lda(cfg: dict) -> None:
     if path is None:
         raise ConfigError("paths.word_events is not set")
     words = read_word_events(path)
-    untagged = [k for k, ev in enumerate(words.events) if ev.pos_tag is None]
-    if untagged:
-        shown = ", ".join(
-            f"row {k + 2} ({words.events[k].token!r})" for k in untagged[:10]
-        )
-        more = "" if len(untagged) <= 10 else f" and {len(untagged) - 10} more"
+    untagged = np.flatnonzero(np.equal(np.array(words.tags, dtype=object), None))
+    if untagged.size:
+        shown = ", ".join(f"row {k + 2} ({words.tokens[k]!r})" for k in untagged[:10])
+        more = "" if untagged.size <= 10 else f" and {untagged.size - 10} more"
         raise ValidationError(f"word events without a POS tag: {shown}{more}")
-    labels = [ev.pos_tag for ev in words.events]
-    vectors = words.vectors()
     try:
         with np.errstate(over="raise"):
-            model = fit_lda(vectors, labels, cfg["lda"]["n_components"])
-            projected = transform(model, vectors)
-            scores = separation_report(model, vectors, labels)
+            model = fit_lda(words.vectors(), words.tags, cfg["lda"]["n_components"])
+            projected = transform(model, words.vectors())
+            scores = separation_report(model, words.vectors(), words.tags)
     except FloatingPointError as e:
         raise NumericalError(
             f"{path}: its vectors are too large for the discriminant reduction ({e})"

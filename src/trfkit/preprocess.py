@@ -143,16 +143,11 @@ def impulse_align(seq: WordEventSequence, fs_hz: float, n_samples: int) -> Featu
         raise PreconditionError(f"fs_hz must be positive, got {fs_hz}")
     if n_samples < 1:
         raise PreconditionError(f"n_samples must be >= 1, got {n_samples}")
-    events = seq.events
-    with np.errstate(over="ignore"):  # an onset beyond the float range is inf, which is refused
-        idx = round_half_up(
-            seq.onsets() * fs_hz,
-            lambda i: f"event {i} ({events[i].token!r}) at {events[i].onset_s}s and {fs_hz} Hz",
-        )
+    idx = seq.onset_samples(fs_hz)
     bad = np.flatnonzero((idx < 0) | (idx >= n_samples))
     if bad.size:
         detail = ", ".join(
-            f"{events[i].token!r}@{events[i].onset_s}s->sample {idx[i]}" for i in bad[:10]
+            f"{seq.tokens[i]!r}@{seq.onsets()[i]}s->sample {idx[i]}" for i in bad[:10]
         ) + ("" if bad.size <= 10 else f" and {bad.size - 10} more")
         raise PreconditionError(f"event(s) fall outside the {n_samples}-sample grid: {detail}")
     out = np.zeros((n_samples, seq.dim))

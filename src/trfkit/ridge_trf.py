@@ -409,11 +409,6 @@ def _gram(X) -> np.ndarray:
     return (X.T @ X).toarray()
 
 
-def _normal_equations(X, Y):
-    """Dense X^T X and X^T Y of a CSR design X and its response Y."""
-    return _gram(X), X.T @ Y
-
-
 def _penalty_scores(X_val, Y_val, W) -> list:
     """Mean channel r of X_val @ W_g against Y_val for each penalty's block W_g of W."""
     target = scaled_columns(Y_val)
@@ -565,7 +560,8 @@ def fit_trf(
     everything = range(len(segments))
     if solver == "closed_form":
         if totals is None:
-            totals = _normal_equations(*_sparse_stack(segments, everything, spec))
+            X, Y = _sparse_stack(segments, everything, spec)
+            totals = _gram(X), X.T @ Y
         W = _solve_gram(*totals, lam)
     elif solver == "iterative":
         X, Y = _stack_segments(segments, everything, spec)

@@ -4,9 +4,10 @@ Kernels are sums of two or three Gaussian bumps per channel-feature pair,
 bounded to [-1, 1]. Word onsets follow a Poisson-like process (exponential
 gaps at the requested rate); feature vectors are i.i.d. standard normal.
 
-The clean response is accumulated event by event: each word adds
-kernel[l, :, :] @ vector at sample round(onset * fs) + lag_samples[l].
-That is the plain double sum over features and lags, deliberately not the
+The clean response is accumulated lag by lag: each word adds
+kernel[l, :, :] @ vector at sample round(onset * fs) + lag_samples[l],
+one matrix-vector product per word, in word order at each sample. That
+is the plain double sum over features and lags, deliberately not the
 design-matrix code path, so the two routes check each other. White noise
 is added per channel at the requested signal-to-noise ratio (std of the
 clean response over std of the noise; snr = inf means noiseless, and a
@@ -26,7 +27,7 @@ from ._util import round_half_up
 from .errors import PreconditionError
 from .lagged_design import LagSpec, lag_range_to_samples
 from .ridge_trf import TrfModel
-from .tensorio import ChannelLayout, EegRecording, LayoutEntry, WordEvent, WordEventSequence
+from .tensorio import ChannelLayout, EegRecording, LayoutEntry, WordEventSequence
 
 __all__ = [
     "SynthSpec",
@@ -122,16 +123,11 @@ def gen_words(spec: SynthSpec) -> WordEventSequence:
     while t < limit:
         onsets.append(t)
         t += float(rng.exponential(1.0 / spec.word_rate_hz))
-    width = max(4, len(str(max(len(onsets) - 1, 0))))
-    events = [
-        WordEvent(
-            token=f"w{k:0{width}d}",
-            onset_s=onset,
-            vector=rng.standard_normal(spec.n_features),
-        )
-        for k, onset in enumerate(onsets)
-    ]
-    return WordEventSequence(events=events, dim=spec.n_features)
+    n = len(onsets)
+    width = max(4, len(str(max(n - 1, 0))))
+    vectors = rng.standard_normal((n, spec.n_features))
+    tokens = [f"w{k:0{width}d}" for k in range(n)]
+    return WordEventSequence._of_columns(tokens, np.array(onsets), [None] * n, vectors)
 
 
 def gen_response(
@@ -152,24 +148,20 @@ def gen_response(
         )
 
     T = spec.n_samples
-    events = words.events
-    with np.errstate(over="ignore"):  # an onset beyond the float range is inf, which is refused
-        bases = round_half_up(
-            words.onsets() * spec.fs_hz,
-            lambda k: f"event {k} ({events[k].token!r}) at {events[k].onset_s}s and {spec.fs_hz} Hz",
-        )
+    bases = words.onset_samples(spec.fs_hz)
     late = np.searchsorted(bases, T)  # onsets are non-negative and non-decreasing
-    if late < len(events):
+    if late < len(words):
         raise PreconditionError(
-            f"event {events[late].token!r} at {events[late].onset_s}s falls outside the recording"
+            f"event {words.tokens[late]!r} at {words.onsets()[late]}s falls outside the recording"
         )
-    lags = np.asarray(lag_spec.lag_samples)
+    vectors = words.vectors()[:, :, None]
     clean = np.zeros((spec.n_channels, T))
-    for ev, base in zip(events, bases):
-        contrib = kernel.kernel @ ev.vector  # (L, E)
-        t_idx = base + lags
+    # lags from last to first add each sample's words in word order; add.at is fast on 1-D
+    for lag, kernel_at_lag in reversed(list(zip(lag_spec.lag_samples, kernel.kernel))):
+        t_idx = bases + lag
         keep = (t_idx >= 0) & (t_idx < T)
-        clean[:, t_idx[keep]] += contrib[keep].T
+        flat = t_idx[keep, None] + T * np.arange(spec.n_channels)  # (word, channel) in clean.flat
+        np.add.at(clean.reshape(-1), flat.ravel(), np.matmul(kernel_at_lag, vectors[keep]).ravel())
 
     rng = np.random.default_rng([spec.seed, _NOISE_STREAM])
     noise = rng.standard_normal(clean.shape)

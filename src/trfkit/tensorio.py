@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import JSON_KINDS, decode_utf8
+from ._util import JSON_KINDS, decode_utf8, round_half_up
 from .errors import FormatError, ValidationError
 
 __all__ = [
@@ -132,79 +132,86 @@ class WordEvent:
     pos_tag: str | None = None
 
 
-def _check_finite_rows(events: list[WordEvent], vectors: np.ndarray) -> None:
-    """Raise ValidationError naming the first event whose row of vectors is not all finite."""
-    bad = _first_nonfinite(vectors)
-    if bad is not None:
-        k, d = bad
-        raise ValidationError(
-            f"event {k} ({events[k].token!r}): non-finite value {vectors[k, d]} in vector entry {d}"
-        )
-
-
-@dataclass
 class WordEventSequence:
-    """Chronological word events with a common feature dimensionality."""
+    """Chronological word events with a common feature dimensionality, held as columns.
 
-    events: list[WordEvent]
-    dim: int
+    `tokens` and `tags` are tuples; the onsets (n,) and vectors (n, dim) are read-only
+    float64 arrays, which `onsets()` and `vectors()` return uncopied. The columns are
+    checked once, when the sequence is made, and owned: `events` builds fresh rows.
+    """
 
-    def __post_init__(self):
-        events = self.events
-        onsets = self.onsets()
+    def __init__(self, events: list[WordEvent], dim: int):
+        events = list(events)  # read once per column below
+        rows = [np.asarray(ev.vector, dtype=np.float64) for ev in events]
+        misshapen = {k: row.shape for k, row in enumerate(rows) if row.shape != (dim,)}
+        vectors = np.zeros((len(rows), 0)) if misshapen else np.array(rows).reshape(len(rows), dim)
+        onsets = np.array([ev.onset_s for ev in events], dtype=np.float64)
+        tags = [ev.pos_tag for ev in events]
+        self._own([ev.token for ev in events], onsets, tags, vectors, dim, misshapen)
+
+    @classmethod
+    def _of_columns(cls, tokens, onsets, tags, vectors) -> "WordEventSequence":
+        """The sequence of these columns, checked as the public constructor checks its events."""
+        return cls.__new__(cls)._own(tokens, onsets, tags, vectors, vectors.shape[1], {})
+
+    def _own(self, tokens, onsets, tags, vectors, dim, misshapen) -> "WordEventSequence":
+        """Check the columns and keep them, the arrays without a copy.
+
+        `misshapen` maps the index of each input vector not of shape (dim,) to
+        its shape; `vectors` is then a placeholder that is never read.
+        """
+        self.tokens, self.tags, self.dim = tuple(tokens), tuple(tags), dim
+        def fault(k, problem: str) -> ValidationError:
+            return ValidationError(f"event {k} ({self.tokens[k]!r}): {problem}")
         bad = _first_nonfinite(onsets)
         if bad is not None:
-            ev = events[bad[0]]
-            raise ValidationError(f"event {bad[0]} ({ev.token!r}): non-finite onset {ev.onset_s}")
-        for ev in events:
-            ev.vector = np.asarray(ev.vector, dtype=np.float64)
+            raise fault(bad[0], f"non-finite onset {onsets[bad[0]]}")
         # the first event in order that breaks a rule; its rules are checked in this order
         prev = np.concatenate(([-np.inf], onsets[:-1]))
-        wrong_shape = np.fromiter((ev.vector.shape != (self.dim,) for ev in events), bool, len(events))
-        faults = np.flatnonzero((onsets < 0) | (onsets < prev) | wrong_shape)
-        if faults.size:
-            k = int(faults[0])
-            ev = events[k]
-            if ev.onset_s < 0:
-                raise ValidationError(f"event {k} ({ev.token!r}): negative onset {ev.onset_s}")
+        k = min([*np.flatnonzero((onsets < 0) | (onsets < prev))[:1], *misshapen], default=None)
+        if k is not None:
+            if onsets[k] < 0:
+                raise fault(k, f"negative onset {onsets[k]}")
             if onsets[k] < prev[k]:
-                raise ValidationError(
-                    f"event {k} ({ev.token!r}): onset {ev.onset_s} decreases below "
-                    f"{events[k - 1].onset_s}"
-                )
-            raise ValidationError(
-                f"event {k} ({ev.token!r}): vector has shape {ev.vector.shape}, expected ({self.dim},)"
-            )
-        _check_finite_rows(events, self.vectors())
+                raise fault(k, f"onset {onsets[k]} decreases below {prev[k]}")
+            raise fault(k, f"vector has shape {misshapen[k]}, expected ({dim},)")
+        bad = _first_nonfinite(vectors)
+        if bad is not None:
+            raise fault(bad[0], f"non-finite value {vectors[bad]} in vector entry {bad[1]}")
+        onsets.setflags(write=False)
+        vectors.setflags(write=False)
+        self._onsets, self._vectors = onsets, vectors
+        return self
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.tokens)
+
+    @property
+    def events(self) -> list[WordEvent]:
+        return list(map(WordEvent, self.tokens, self._onsets.tolist(), self._vectors, self.tags))
 
     def onsets(self) -> np.ndarray:
-        return np.array([ev.onset_s for ev in self.events], dtype=np.float64)
+        return self._onsets
 
     def vectors(self) -> np.ndarray:
-        if not self.events:
-            return np.zeros((0, self.dim))
-        return np.array([ev.vector for ev in self.events], dtype=np.float64)
+        return self._vectors
+
+    def onset_samples(self, fs_hz: float) -> np.ndarray:
+        """Each onset's sample index at fs_hz, floor(onset_s * fs_hz + 0.5), as int64."""
+        with np.errstate(over="ignore"):  # an onset beyond the float range is inf, which is refused
+            return round_half_up(
+                self._onsets * fs_hz,
+                lambda k: f"event {k} ({self.tokens[k]!r}) at {self._onsets[k]}s and {fs_hz} Hz",
+            )
 
     def with_vectors(self, vectors) -> "WordEventSequence":
-        """The same events carrying new vectors, one row per event.
-
-        Only the new vectors are checked: the onsets are this sequence's own.
-        """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] != len(self.events):
+        """The same events carrying a copy of new vectors, one row per event."""
+        vectors = np.array(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[0] != len(self):
             raise ValidationError(
-                f"need one vector row per event ({len(self.events)}), got shape {vectors.shape}"
+                f"need one vector row per event ({len(self)}), got shape {vectors.shape}"
             )
-        _check_finite_rows(self.events, vectors)
-        seq = object.__new__(WordEventSequence)  # skips __post_init__'s checks of the onsets
-        seq.events = [
-            WordEvent(ev.token, ev.onset_s, v, ev.pos_tag) for ev, v in zip(self.events, vectors)
-        ]
-        seq.dim = vectors.shape[1]
-        return seq
+        return WordEventSequence._of_columns(self.tokens, self._onsets, self.tags, vectors)
 
 
 @dataclass
@@ -369,19 +376,25 @@ def read_eeg(path) -> EegRecording:
 # word events (TSV)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _require_utf8(piece: str, owner: str, what: str) -> None:
+    try:
+        piece.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{owner}: {what} {piece!r} cannot be encoded as UTF-8") from None
 
 
 def write_word_events(path, seq: WordEventSequence) -> None:
     cols = ["token", "onset_s", "pos"] + [f"v{i}" for i in range(seq.dim)]
     lines = ["\t".join(cols) + "\n"]
-    for k, ev in enumerate(seq.events):
-        for piece, what in ((ev.token, "token"), (ev.pos_tag or "", "pos tag")):
+    vectors = seq.vectors()
+    for k, (token, onset, tag) in enumerate(zip(seq.tokens, seq.onsets().tolist(), seq.tags)):
+        for piece, what in ((token, "token"), (tag or "", "pos tag")):
             if "\t" in piece or "\n" in piece:
                 raise ValidationError(f"event {k}: {what} {piece!r} contains a tab or newline")
-        # repr of the Python floats of tolist() is _format_float of each entry
-        row = [ev.token, _format_float(ev.onset_s), ev.pos_tag or "", *map(repr, ev.vector.tolist())]
+            if not piece.isascii():  # only a non-ASCII string can fail to encode
+                _require_utf8(piece, f"event {k}", what)
+        # repr of each Python float reads back exactly; tolist() per row keeps the GC quiet
+        row = [token, repr(onset), tag or "", *map(repr, vectors[k].tolist())]
         lines.append("\t".join(row) + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
@@ -396,11 +409,12 @@ def _lines(fh, path):
 
 
 def read_word_events(path) -> WordEventSequence:
-    """Stream a word-event TSV: each row is split once and its features cast in one numpy call.
+    """Stream a word-event TSV into columns, splitting each row once.
 
-    Malformed rows raise FormatError as they are met, so the first in file
-    order is the one reported; the rules of WordEventSequence are checked
-    once, after the last row.
+    Feature fields are cast into a float64 buffer that doubles when full and
+    is trimmed in place after the last row. Malformed rows raise FormatError
+    as they are met, so the first in file order is the one reported; the
+    rules of WordEventSequence are checked once, after the last row.
     """
     with open(path, "rb") as fh:
         lines = _lines(fh, path)
@@ -413,13 +427,14 @@ def read_word_events(path) -> WordEventSequence:
                 f"{path}: line 1: header must start with token/onset_s/pos, got {header[:3]}"
             )
         dim = len(header) - 3
-        expected_vs = [f"v{i}" for i in range(dim)]
-        if header[3:] != expected_vs:
+        if header[3:] != [f"v{i}" for i in range(dim)]:
             raise FormatError(
                 f"{path}: line 1: feature columns must be v0..v{dim - 1}, got {header[3:]}"
             )
 
-        events = []
+        tokens, onsets, tags = [], [], []
+        tag_of = {"": None}  # one string per distinct tag
+        vectors = np.empty((64, dim))
         for lineno, line in enumerate(lines, start=2):
             fields = line.split("\t")
             if len(fields) != 3 + dim:
@@ -427,19 +442,23 @@ def read_word_events(path) -> WordEventSequence:
                     f"{path}: line {lineno}: expected {3 + dim} fields, got {len(fields)}"
                 )
             try:
-                onset = float(fields[1])
+                onsets.append(float(fields[1]))
             except ValueError:
                 raise FormatError(
                     f"{path}: line {lineno}: onset_s {fields[1]!r} is not a number"
                 ) from None
+            if len(tokens) == len(vectors):
+                vectors.resize((2 * len(tokens), dim), refcheck=False)  # no view of it exists
             try:  # numpy's str -> float64 cast accepts exactly what float() does
-                vec = np.array(fields[3:], dtype=np.float64)
+                vectors[len(tokens)] = fields[3:]
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric feature value") from None
-            events.append(WordEvent(fields[0], onset, vec, fields[2] or None))
+            tokens.append(fields[0])
+            tags.append(tag_of.setdefault(fields[2], fields[2]))
+    vectors.resize((len(tokens), dim), refcheck=False)
 
     try:
-        return WordEventSequence(events=events, dim=dim)
+        return WordEventSequence._of_columns(tokens, np.array(onsets), tags, vectors)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
@@ -449,11 +468,12 @@ def read_word_events(path) -> WordEventSequence:
 
 
 def write_channel_layout(path, layout: ChannelLayout) -> None:
+    for k, e in enumerate(layout.entries):
+        _require_utf8(e.name, f"channel {k}", "name")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "x", "y"])
-        for e in layout.entries:
-            writer.writerow([e.name, _format_float(e.x), _format_float(e.y)])
+        writer.writerows([e.name, repr(float(e.x)), repr(float(e.y))] for e in layout.entries)
 
 
 def read_channel_layout(path) -> ChannelLayout:

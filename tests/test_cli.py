@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import warnings
 from pathlib import Path
@@ -344,6 +345,36 @@ def test_workers_do_not_change_results(tmp_path):
     _run("fit", "--config", str(config), "--output", str(tmp_path / "w2"), "--workers", "2")
     for name in ("sub00_trf.btsr", "sub01_trf.btsr", "sub00_cv.json", "sub01_cv.json"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_fit_bytes_repeat_for_one_blas_thread_count_and_barely_move_across_counts(tmp_path):
+    # the reproducibility claim: identical bytes for the same machine, library
+    # versions and BLAS thread count; another thread count may move last bits only
+    import subprocess
+    import sys
+
+    import trfkit
+
+    # 888 lag columns: enough for two BLAS threads to move the last bits of the kernel
+    config = _write_config(tmp_path, {
+        "lags.tmax_s": 1.0, "synth.fs_hz": 100.0, "synth.duration_s": 60.0,
+        "synth.n_channels": 4, "synth.n_features": 8,
+    })
+    assert _run("synth", "--config", str(config)) == 0
+    src = str(Path(trfkit.__file__).resolve().parents[1])
+    for run, threads in (("one", "1"), ("one_again", "1"), ("two", "2")):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "trfkit", "fit", "--config", str(config), "--output", str(tmp_path / run)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    trees = [{p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} for run in ("one", "one_again")]
+    assert trees[0] == trees[1] and "sub00_trf.btsr" in trees[0]
+    one, two = (read_trf(tmp_path / run / "sub00_trf.btsr") for run in ("one", "two"))
+    assert one.lam == two.lam
+    assert np.max(np.abs(one.kernel - two.kernel)) <= 1e-12 * np.max(np.abs(one.kernel))
 
 
 def test_fit_releases_each_recording_once_it_is_segmented(tmp_path, monkeypatch):

@@ -537,23 +537,54 @@ def test_with_vectors_checks_the_new_vectors():
         seq.with_vectors([[1.0, 2.0], [3.0, np.inf]])
 
 
-def test_reading_word_events_holds_little_more_than_the_file(tmp_path):
+def _traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
     import tracemalloc
 
-    rng = np.random.default_rng(7)
-    vectors = rng.standard_normal((2000, 60))
-    seq = WordEventSequence(
-        events=[WordEvent(f"w{k:06d}", 0.25 * k, vectors[k], "NOUN") for k in range(2000)], dim=60
-    )
-    path = tmp_path / "w.tsv"
-    write_word_events(path, seq)
     tracemalloc.start()
     try:
-        read_word_events(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * path.stat().st_size
+
+
+def _tagged_sequence(n: int, dim: int) -> WordEventSequence:
+    vectors = np.random.default_rng(7).standard_normal((n, dim))
+    return WordEventSequence(
+        events=[WordEvent(f"w{k:06d}", 0.25 * k, vectors[k], "NOUN") for k in range(n)], dim=dim
+    )
+
+
+@pytest.mark.parametrize("dim, bound", [(60, 1.5), (9, 2.0), (2, 4.0)])
+def test_reading_word_events_holds_little_more_than_the_file(tmp_path, dim, bound):
+    path = tmp_path / "w.tsv"
+    write_word_events(path, _tagged_sequence(2000, dim))
+    assert _traced_peak(lambda: read_word_events(path)) < bound * path.stat().st_size
+
+
+def test_with_vectors_holds_little_more_than_the_new_vectors():
+    seq = _tagged_sequence(2000, 60)
+    new = np.random.default_rng(8).standard_normal((2000, 9))
+    assert _traced_peak(lambda: seq.with_vectors(new)) < 2.0 * new.nbytes
+
+
+def test_a_sequence_owns_its_columns():
+    vector = np.array([1.0, 2.0])
+    seq = WordEventSequence([WordEvent("a", 0.0, vector, "DT"), WordEvent("b", 0.5, [3.0, 4.0])], 2)
+    vector[0] = np.nan
+    seq.events[0].onset_s = -5.0
+    seq.events[1].token = "c"
+    for writable in (seq.onsets(), seq.vectors(), seq.events[0].vector):
+        with pytest.raises(ValueError, match="read-only"):
+            writable[0] = np.inf
+    new_vectors = np.array([[5.0], [6.0]])
+    new = seq.with_vectors(new_vectors)
+    new_vectors[1, 0] = np.nan
+    assert seq.onsets().tolist() == [0.0, 0.5]
+    assert seq.vectors().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert [ev.token for ev in seq.events] == ["a", "b"]
+    assert new.vectors().tolist() == [[5.0], [6.0]]
 
 
 @pytest.mark.parametrize(
@@ -571,6 +602,28 @@ def test_non_utf8_byte_is_a_format_error_naming_file_and_offset(tmp_path, reader
     offset = body.index(b"\xff")
     with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8 at byte offset {offset}")):
         reader(path)
+
+
+@pytest.mark.parametrize(
+    "write, contents, message",
+    [
+        (write_word_events,
+         WordEventSequence([WordEvent("a", 0.1, [1.0], "DT"), WordEvent("b\ud800", 0.2, [2.0])], 1),
+         "event 1: token 'b\\ud800' cannot be encoded as UTF-8"),
+        (write_word_events,
+         WordEventSequence([WordEvent("a", 0.1, [1.0], "\udfffDT")], 1),
+         "event 0: pos tag '\\udfffDT' cannot be encoded as UTF-8"),
+        (write_channel_layout,
+         ChannelLayout([LayoutEntry("Fz", 0.0, 1.0), LayoutEntry("C\ud800z", 0.0, 0.0)]),
+         "channel 1: name 'C\\ud800z' cannot be encoded as UTF-8"),
+    ],
+    ids=["word_token", "word_tag", "channel_name"],
+)
+def test_text_writers_refuse_a_string_utf8_cannot_encode(tmp_path, write, contents, message):
+    path = tmp_path / "output"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        write(path, contents)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
