@@ -10,6 +10,10 @@ contiguous block of L lag columns.
 Word-feature impulse trains are mostly zero, so their designs are too:
 build_lagged_csr builds the same matrix in CSR form from the non-zero
 samples alone, and the model fitting code works on that form.
+build_windows_csr builds the stacked design of any set of equal-length
+windows, each zero-padded at its own edges, in one pass and without a
+sort; build_lagged_csr is its one-window case. A lag range may span at
+most MAX_LAGS lags.
 """
 
 from dataclasses import dataclass
@@ -26,7 +30,11 @@ __all__ = [
     "lag_range_to_samples",
     "build_lagged_matrix",
     "build_lagged_csr",
+    "build_windows_csr",
 ]
+
+# LagSpec refuses a lag range longer than this before it lists the lags.
+MAX_LAGS = 100_000
 
 
 @dataclass
@@ -45,10 +53,16 @@ class LagSpec:
             raise PreconditionError(
                 f"tmin_s must be below tmax_s, got [{self.tmin_s}, {self.tmax_s}]"
             )
-        lags = list(self.lag_samples)
-        if not lags:
+        if not self.lag_samples:
             raise PreconditionError("lag_samples is empty")
-        if lags != list(range(lags[0], lags[-1] + 1)):
+        first, last = self.lag_samples[0], self.lag_samples[-1]
+        if last - first >= MAX_LAGS:  # checked before a list of the lags is made
+            raise PreconditionError(
+                f"tmin_s={self.tmin_s} to tmax_s={self.tmax_s} at fs_hz={self.fs_hz} spans "
+                f"{last - first + 1} lags, more than the {MAX_LAGS} allowed"
+            )
+        lags = list(self.lag_samples)
+        if lags != list(range(first, first + len(lags))):
             raise PreconditionError("lag_samples must be contiguous and increasing")
         self.lag_samples = lags
 
@@ -82,7 +96,7 @@ def lag_range_to_samples(tmin_s: float, tmax_s: float, fs_hz: float) -> LagSpec:
     """Convert a lag window in seconds to an inclusive integer sample range."""
     first = round_half_up(tmin_s * fs_hz, f"tmin_s={tmin_s} at fs_hz={fs_hz}")
     last = round_half_up(tmax_s * fs_hz, f"tmax_s={tmax_s} at fs_hz={fs_hz}")
-    return LagSpec(tmin_s, tmax_s, fs_hz, list(range(first, last + 1)))
+    return LagSpec(tmin_s, tmax_s, fs_hz, range(first, last + 1))
 
 
 def build_lagged_matrix(x: FeatureSeries, spec: LagSpec) -> DesignMatrix:
@@ -118,21 +132,46 @@ def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> "scipy.sparse.csr_array
     inside the series. The stored entries are exactly the non-zero
     entries of the dense design, so `.toarray()` equals it.
     """
-    import scipy.sparse
-
     if x.fs_hz != spec.fs_hz:
         raise PreconditionError(
             f"sampling rates differ: series {x.fs_hz} vs lag spec {spec.fs_hz}"
         )
-    T, D = x.data.shape
-    L = spec.n_lags
-    t, i = np.nonzero(x.data)
-    rows = t[:, None] + np.asarray(spec.lag_samples)
-    cols = i[:, None] * L + np.arange(L)
-    vals = np.broadcast_to(x.data[t, i][:, None], rows.shape)
-    keep = (rows >= 0) & (rows < T)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=T), out=indptr[1:])
-    return scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(T, D * L))
+    return build_windows_csr([x.data], spec)
+
+
+def build_windows_csr(windows, spec: LagSpec) -> "scipy.sparse.csr_array":
+    """Lagged CSR design of equal-length windows stacked in order, each zero-padded at its edges.
+
+    Rows w*n to (w+1)*n, for windows of n samples, are build_lagged_csr of window w
+    alone. Nothing is sorted: every lag column keeps its feature's non-zero rows in
+    increasing order, so the columns are counted, filled into CSC arrays and
+    converted once.
+    """
+    import scipy.sparse
+
+    windows = [np.asarray(w, dtype=np.float64) for w in windows]
+    if not windows or windows[0].ndim != 2 or any(w.shape != windows[0].shape for w in windows):
+        raise PreconditionError("need one or more 2-D windows of one shape")
+    n, D = windows[0].shape
+    shape = (n * len(windows), D * spec.n_lags)
+    return scipy.sparse.csc_array(_lagged_csc(windows, spec.lag_samples), shape=shape).tocsr()
+
+
+def _lagged_csc(windows, lag_samples) -> tuple:
+    """CSC (data, indices, indptr) of build_windows_csr; its scratch arrays die on return."""
+    x, window = np.concatenate(windows), max(len(windows[0]), 1)
+    lags = np.asarray(lag_samples)[:, None]
+    # lag l keeps sample t of a window iff lo[l] <= t < hi[l], that is 0 <= t + lag < window
+    lo, hi = np.clip(-lags, 0, window), np.clip(window - lags, 0, window)
+    rows = [np.flatnonzero(column) for column in x.T]
+    # before[k] counts a feature's non-zero samples at times t < k in their windows
+    before = [np.bincount(r % window + 1, minlength=window + 1).cumsum() for r in rows]
+    indptr = np.concatenate(([0], np.cumsum([b[hi] - b[lo] for b in before], dtype=np.int64)))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
+    for i, r in enumerate(rows):
+        t = r % window
+        keep = (t >= lo) & (t < hi)  # (L, nnz), lag-major: the CSC order of this feature's columns
+        block = slice(indptr[i * len(lags)], indptr[(i + 1) * len(lags)])
+        indices[block] = (r + lags)[keep]
+        data[block] = np.broadcast_to(x[r, i], keep.shape)[keep]
+    return data, indices, indptr

@@ -8,9 +8,12 @@ the iterative path runs seeded mini-batch gradient descent on the same
 objective.
 
 Cross-validation, the closed-form fit and evaluation share one path for
-the sufficient statistics: each segment set is stacked into a CSR design
-straight from its non-zero samples, and X^T X and X^T Y come from sparse
-products. The iterative solver works on the dense design.
+the sufficient statistics: each segment set (a fold, the training set,
+the test set) is one call of lagged_design.build_windows_csr, which
+builds its CSR design straight from the non-zero samples without a sort,
+and X^T X and X^T Y come from sparse products. The iterative solver works
+on the dense design: each kept fold design writes its own row block of
+one training array.
 Cross-validation's first pass already sums X^T X and X^T Y over every
 training segment; its report carries those totals, and the closed-form
 final fit given the report solves them at the chosen penalty without
@@ -39,8 +42,8 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .lagged_design import DesignMatrix, LagSpec, build_lagged_csr
-from .preprocess import FeatureSeries, SegmentSet
+from .lagged_design import DesignMatrix, LagSpec, build_windows_csr
+from .preprocess import SegmentSet
 from .tensorio import _read_checked, write_tensor
 
 __all__ = [
@@ -381,27 +384,27 @@ def pick_best_lambda(grid, mean_scores) -> float:
     return max(zip(scores, grid))[1]
 
 
-def _vstack(stacks):
-    """One CSR design and response from (CSR design, response) pairs, stacked in order."""
-    import scipy.sparse
-
-    xs, ys = zip(*stacks)
-    return scipy.sparse.vstack(xs, format="csr"), np.concatenate(ys, axis=0)
-
-
 def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
-    """CSR design and response of the given segments, stacked in order."""
+    """CSR design and response of the given segments, stacked in order by one build."""
     segs = [segments.segments[i] for i in indices]
-    return _vstack(
-        (build_lagged_csr(FeatureSeries(data=seg.x, fs_hz=segments.fs_hz), spec), seg.y)
-        for seg in segs
-    )
+    X = build_windows_csr([seg.x for seg in segs], spec)
+    return X, np.concatenate([seg.y for seg in segs])
+
+
+def _dense_rows(stacks):
+    """One dense design and response from (CSR design, response) pairs, stacked in order."""
+    xs, ys = zip(*stacks)
+    X_all = np.empty((sum(X.shape[0] for X in xs), xs[0].shape[1]))
+    row = 0
+    for X in xs:  # each design zeroes its own row block, then writes its entries there
+        X.toarray(out=X_all[row : row + X.shape[0]])
+        row += X.shape[0]
+    return X_all, np.concatenate(ys, axis=0)
 
 
 def _stack_segments(segments: SegmentSet, indices, spec: LagSpec):
     """Dense design and response of the given segments, stacked in order."""
-    X, Y = _sparse_stack(segments, indices, spec)
-    return X.toarray(), Y
+    return _dense_rows([_sparse_stack(segments, indices, spec)])
 
 
 def _gram(X) -> np.ndarray:
@@ -499,8 +502,7 @@ def cross_validate(
         if solver == "closed_form":
             scores[:, fi] = _closed_form_fold_scores(X_val, Y_val, G_tot, H_tot - H[fi], grid)
         else:
-            X_train, Y_train = _vstack(st for fj, st in enumerate(stacks) if fj != fi)
-            X_train = X_train.toarray()
+            X_train, Y_train = _dense_rows(st for fj, st in enumerate(stacks) if fj != fi)
             fits = [fit_iterative(X_train, Y_train, lam, **asdict(iterative)) for lam in grid]
             W = np.hstack([fit.weights for fit in fits])
             scores[:, fi] = _penalty_scores(X_val, Y_val, W)

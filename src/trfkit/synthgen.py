@@ -38,6 +38,9 @@ __all__ = [
     "circle_layout",
 ]
 
+# gen_words draws words one at a time; a spec expecting more than this is refused
+MAX_SYNTH_WORDS = 1_000_000
+
 # sub-stream tags so kernel, word and noise draws never overlap
 _KERNEL_STREAM = 1
 _WORD_STREAM = 2
@@ -70,9 +73,12 @@ class SynthSpec:
         self.lag_spec()  # checks the lag window
         if not (self.snr > 0):
             raise PreconditionError(f"snr must be positive, got {self.snr}")
-        if self.duration_s * self.word_rate_hz < 10:
+        self.n_samples  # checks that a sample index can hold the duration
+        expected = self.duration_s * self.word_rate_hz
+        if not 10 <= expected <= MAX_SYNTH_WORDS:
             raise PreconditionError(
-                f"{self.duration_s}s at {self.word_rate_hz} words/s expects fewer than 10 words"
+                f"duration_s={self.duration_s} at word_rate_hz={self.word_rate_hz} expects "
+                f"{expected:.3g} words; from 10 to {MAX_SYNTH_WORDS} are allowed"
             )
 
     @property

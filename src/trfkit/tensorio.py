@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,8 @@ class WordEventSequence:
 
     `tokens` and `tags` are tuples; the onsets (n,) and vectors (n, dim) are read-only
     float64 arrays, which `onsets()` and `vectors()` return uncopied. The columns are
-    checked once, when the sequence is made, and owned: `events` builds fresh rows.
+    checked once, when the sequence is made, and owned: `events` is a read-only view
+    whose indexing and iteration build fresh rows, only those asked for.
     """
 
     def __init__(self, events: list[WordEvent], dim: int):
@@ -187,8 +189,8 @@ class WordEventSequence:
         return len(self.tokens)
 
     @property
-    def events(self) -> list[WordEvent]:
-        return list(map(WordEvent, self.tokens, self._onsets.tolist(), self._vectors, self.tags))
+    def events(self) -> "_EventRows":
+        return _EventRows(self)
 
     def onsets(self) -> np.ndarray:
         return self._onsets
@@ -212,6 +214,25 @@ class WordEventSequence:
                 f"need one vector row per event ({len(self)}), got shape {vectors.shape}"
             )
         return WordEventSequence._of_columns(self.tokens, self._onsets, self.tags, vectors)
+
+
+class _EventRows(Sequence):
+    """Read-only row view of a WordEventSequence; each access builds only the rows it asks for."""
+
+    def __init__(self, seq: WordEventSequence):
+        self._seq = seq
+
+    def __len__(self) -> int:
+        return len(self._seq)
+
+    def __getitem__(self, k):
+        picked = range(len(self._seq))[k]  # an index, or a range for a slice
+        if isinstance(picked, range):
+            return [self[j] for j in picked]
+        seq = self._seq
+        return WordEvent(
+            seq.tokens[picked], seq._onsets[picked].item(), seq._vectors[picked], seq.tags[picked]
+        )
 
 
 @dataclass

@@ -19,6 +19,7 @@ from trfkit.cli import (
     split_segments,
 )
 from trfkit.errors import ConfigError, PreconditionError, ValidationError
+from trfkit.lagged_design import build_windows_csr
 from trfkit.lda_reduce import ComponentClampWarning
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet, segment
 from trfkit.ridge_trf import cross_validate, read_trf
@@ -740,6 +741,88 @@ def test_non_utf8_byte_in_a_text_input_exits_3_naming_file_and_offset(
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {path}: not UTF-8 at byte offset {offset}"]
     assert _files(tmp_path) == before
+
+
+# Starts trfkit's CLI in a fresh interpreter whose address space is capped first.
+_LIMITED_MAIN = (
+    "import resource, sys; limit = int(sys.argv[1]); "
+    "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+    "from trfkit.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+def _run_limited(*argv, timeout_s=60.0, address_space=1536 << 20):
+    """Exit code and stderr of a CLI command run in a subprocess under both limits.
+
+    A wall-clock timeout (subprocess.TimeoutExpired once it passes) and an
+    RLIMIT_AS address-space cap (MemoryError inside the command) keep a
+    command that would run forever or take all memory from doing either.
+    """
+    import subprocess
+    import sys
+
+    import trfkit
+
+    src = str(Path(trfkit.__file__).resolve().parents[1])
+    # one BLAS thread keeps the libraries' own address-space reservations small
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=src, **threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, str(address_space), *argv],
+        env=env, capture_output=True, text=True, timeout=timeout_s,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, change, named",
+    [
+        ("synth", "synth.word_rate_hz=1e308", ("duration_s", "word_rate_hz")),
+        ("synth", "lags.tmax_s=1e8", ("tmin_s", "tmax_s")),
+        ("fit", "lags.tmax_s=1e8", ("tmin_s", "tmax_s")),
+    ],
+    ids=["synth_word_rate", "synth_lags", "fit_lags"],
+)
+def test_a_spec_too_large_to_generate_or_lag_exits_2_with_one_error_line(
+    tmp_path, command, change, named
+):
+    config = _write_config(tmp_path)
+    if command == "fit":
+        assert _run("synth", "--config", str(config)) == 0
+    before = _files(tmp_path)
+    code, err = _run_limited(command, "--config", str(config), "--set", change)
+    lines = err.splitlines()
+    assert code == 2, err
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(name in lines[0] for name in named) and "allowed" in lines[0]
+    assert _files(tmp_path) == before
+
+
+def test_long_story_builds_one_design_per_fold_and_one_test_design(tmp_path, monkeypatch):
+    import trfkit.ridge_trf as ridge_trf
+
+    # the benchmark's long_story settings: 180 s, 32 channels, 9 features, 111 lags, 5 folds
+    config = _write_config(tmp_path, {
+        "lags.tmin_s": -0.1, "lags.tmax_s": 1.0, "lambda_grid.n": 10, "folds": 5,
+        "synth": {"fs_hz": 100.0, "duration_s": 180.0, "n_channels": 32, "n_features": 9,
+                  "word_rate_hz": 2.0, "snr": 0.3, "n_subjects": 1},
+    })
+    assert _run("synth", "--config", str(config)) == 0
+    builds = []
+
+    def counting(windows, spec):
+        builds.append(len(windows))
+        return build_windows_csr(windows, spec)
+
+    monkeypatch.setattr(ridge_trf, "build_windows_csr", counting)
+    assert _run("fit", "--config", str(config)) == 0
+    cv = json.loads((tmp_path / "out" / "sub00_cv.json").read_text(encoding="utf-8"))
+    # one build per fold, covering every training window; the final fit solves
+    # the report's totals and builds nothing
+    assert len(builds) == 5 and sum(builds) == cv["n_train_segments"]
+    builds.clear()
+    assert _run("evaluate", "--config", str(config)) == 0
+    assert builds == [cv["n_test_segments"]]
 
 
 def test_divergence_exits_4(tmp_path):

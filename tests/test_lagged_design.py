@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from trfkit.lagged_design import (
     LagSpec,
     build_lagged_csr,
     build_lagged_matrix,
+    build_windows_csr,
     lag_range_to_samples,
 )
 from trfkit.preprocess import FeatureSeries
@@ -171,3 +174,91 @@ def test_design_times_weights_matches_direct_convolution():
                 if 0 <= src < n:
                     direct[t] += w[i, li] * x[src, i]
     assert np.allclose(via_design, direct, atol=1e-10)
+
+
+def _per_window_reference(windows, spec):
+    """Each window's design built on its own, lexsorted into rows, then vstacked."""
+    import scipy.sparse
+
+    blocks = []
+    for x in windows:
+        T, D = x.shape
+        L = spec.n_lags
+        t, i = np.nonzero(x)
+        rows = t[:, None] + np.asarray(spec.lag_samples)
+        cols = i[:, None] * L + np.arange(L)
+        vals = np.broadcast_to(x[t, i][:, None], rows.shape)
+        keep = (rows >= 0) & (rows < T)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(T + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=T), out=indptr[1:])
+        blocks.append(scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(T, D * L)))
+    return scipy.sparse.vstack(blocks, format="csr")
+
+
+_WINDOW_KINDS = st.sampled_from(["empty", "impulse", "sparse", "dense"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.tuples(_WINDOW_KINDS, st.booleans()), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_one_build_of_a_window_set_equals_per_window_builds_stacked(
+    window, d, first_lag, n_lags, kinds, seed
+):
+    # lags from well before to well past either window edge; each window
+    # empty, one impulse, sparse or fully dense; any ordered subset of them
+    rng = np.random.default_rng(seed)
+    windows = []
+    for kind, _ in kinds:
+        x = np.zeros((window, d))
+        if kind == "impulse":
+            x[rng.integers(window), rng.integers(d)] = rng.normal()
+        elif kind != "empty":
+            x[:] = rng.normal(size=(window, d))
+            if kind == "sparse":
+                x[rng.random((window, d)) >= 0.2] = 0.0
+        windows.append(x)
+    chosen = [x for x, (_, kept) in zip(windows, kinds) if kept] or windows[:1]
+    spec = _spec(range(first_lag, first_lag + n_lags))
+    got = build_windows_csr(chosen, spec)
+    want = _per_window_reference(chosen, spec)
+    assert got.shape == want.shape == (len(chosen) * window, d * n_lags)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [[], [np.zeros(4)], [np.zeros((4, 2)), np.zeros((3, 2))], [np.zeros((4, 2)), np.zeros((4, 3))]],
+    ids=["none", "1-D", "lengths_differ", "features_differ"],
+)
+def test_windows_build_refuses_windows_that_differ_or_are_not_2d(windows):
+    with pytest.raises(PreconditionError):
+        build_windows_csr(windows, _spec([0, 1]))
+
+
+def test_a_dense_window_set_builds_in_little_more_than_two_designs():
+    # CSC arrays and their CSR conversion are two copies; a lexsort of the
+    # entries would need about three
+    rng = np.random.default_rng(0)
+    windows = list(rng.normal(size=(16, 200, 9)))
+    spec = lag_range_to_samples(-0.1, 1.0, 100.0)
+    build_windows_csr(windows[:1], spec)  # loads scipy before tracing
+    tracemalloc.start()
+    try:
+        X = build_windows_csr(windows, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    assert X.nnz > 0.7 * 16 * 200 * 9 * spec.n_lags  # dense but for the zero padding
+    assert peak < 2.2 * result, f"{peak / result:.2f} designs"

@@ -16,7 +16,7 @@ from trfkit.errors import (
     SingularSystemError,
     ValidationError,
 )
-from trfkit.lagged_design import LagSpec, build_lagged_csr, build_lagged_matrix
+from trfkit.lagged_design import LagSpec, build_lagged_csr, build_lagged_matrix, build_windows_csr
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
 from trfkit.ridge_trf import (
     CvReport,
@@ -528,17 +528,19 @@ def test_iterative_cv_matches_dense_reference():
 def test_iterative_cv_builds_each_window_design_once(monkeypatch):
     import trfkit.ridge_trf as ridge_trf
 
-    calls = []
+    built = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return build_lagged_csr(*args, **kwargs)
+    def counting(windows, spec):
+        built.append(list(windows))
+        return build_windows_csr(windows, spec)
 
-    monkeypatch.setattr(ridge_trf, "build_lagged_csr", counting)
+    monkeypatch.setattr(ridge_trf, "build_windows_csr", counting)
     segs, spec = _segments(seed=4, n_segments=7, n=60, d=2, e=3, density=0.3)
     options = IterativeOptions(lr=1e-3, batch_size=16, tol=1e-8, max_epochs=2, seed=2)
     cross_validate(segs, spec, [0.1, 3.0], k=3, solver="iterative", iterative=options)
-    assert len(calls) == len(segs)
+    # one build per fold, and the folds' windows, in order, are every window once
+    assert len(built) == 3
+    assert [id(w) for windows in built for w in windows] == [id(s.x) for s in segs.segments]
 
 
 @pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
@@ -596,9 +598,12 @@ def test_fit_from_cv_report_builds_no_design_and_matches_the_restacked_fit(monke
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return build_lagged_csr(*args, **kwargs)
+        return build_windows_csr(*args, **kwargs)
 
-    monkeypatch.setattr(ridge_trf, "build_lagged_csr", counting)
+    monkeypatch.setattr(ridge_trf, "build_windows_csr", counting)
+    fit_trf(segs, spec, rep.best_lambda)
+    assert len(calls) == 1  # the patch sees the restacked fit's one build
+    calls.clear()
     model = fit_trf(segs, spec, rep.best_lambda, cv=rep)
     assert calls == []
     assert model.lam == rep.best_lambda

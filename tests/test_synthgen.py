@@ -152,6 +152,13 @@ def test_spec_validation():
         _spec(n_channels=0)
 
 
+def test_spec_refuses_more_expected_words_than_it_can_draw():
+    # at 1e308 words/s every gap is below the ulp of the onset, which then never grows
+    with pytest.raises(PreconditionError, match="duration_s=30.0 at word_rate_hz=1e"):
+        _spec(duration_s=30.0, word_rate_hz=1e308)
+    _spec(fs_hz=20.0, duration_s=120.0, word_rate_hz=60.0)  # many words per sample is fine
+
+
 def test_response_rejects_foreign_kernel():
     spec = _spec()
     words = gen_words(spec)

@@ -587,6 +587,30 @@ def test_a_sequence_owns_its_columns():
     assert new.vectors().tolist() == [[5.0], [6.0]]
 
 
+def test_indexing_one_event_builds_one_row(monkeypatch):
+    import trfkit.tensorio as tensorio
+
+    n = 1000
+    seq = WordEventSequence._of_columns(
+        [f"w{k}" for k in range(n)], np.arange(n) / 4.0, [None] * n, np.ones((n, 3))
+    )
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return WordEvent(*args)
+
+    monkeypatch.setattr(tensorio, "WordEvent", counting)
+    events = seq.events
+    assert len(events) == n and built == []
+    assert events[-2].onset_s == 249.5 and built == ["w998"]
+    assert [ev.token for ev in events[3:6]] == ["w3", "w4", "w5"]
+    assert next(iter(events)).token == "w0"
+    assert built == ["w998", "w3", "w4", "w5", "w0"]
+    with pytest.raises(IndexError):
+        events[n]
+
+
 @pytest.mark.parametrize(
     "reader, body",
     [
