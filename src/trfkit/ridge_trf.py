@@ -10,14 +10,22 @@ objective.
 Cross-validation, the closed-form fit and evaluation share one path for
 the sufficient statistics: each segment set (a fold, the training set,
 the test set) is one call of lagged_design.build_windows_csr, which
-builds its CSR design straight from the non-zero samples without a sort,
-and X^T X and X^T Y come from sparse products. The iterative solver works
-on the dense design: each kept fold design writes its own row block of
-one training array.
-Cross-validation's first pass already sums X^T X and X^T Y over every
-training segment; its report carries those totals, and the closed-form
-final fit given the report solves them at the chosen penalty without
-building a design or a Gram again.
+builds its CSR design straight from the non-zero samples without a sort.
+X^T Y is a sparse product, and X^T X is formed by fixed-width column
+blocks of it, X^T X[:, j0:j1], so no P x P sparse product is made. The
+iterative solver works on the dense design: each kept fold design writes
+its own row block of one training array.
+
+Closed-form cross-validation holds one Fortran P x P buffer for the whole
+search. A first pass sums every fold's Gram into it; the strict upper
+triangle and a copy of the diagonal then keep those training totals. Each
+fold writes its training Gram (the totals less its own Gram) into the
+lower triangle, where the reduction runs in place and leaves the upper
+triangle as it was. After the last fold the same lower triangle holds the
+Cholesky factor of the totals at the chosen penalty, and is then restored
+from the upper one. The report carries the totals and the weights at the
+chosen penalty, so the closed-form final fit given the report builds no
+design and forms no Gram; at the chosen penalty it factorises nothing.
 
 Cross-validation assigns segments to contiguous folds in temporal order
 and scores each candidate penalty by the mean Pearson correlation across
@@ -26,6 +34,9 @@ resolve toward the stronger penalty. The closed-form search reduces each
 fold's training Gram to tridiagonal form once, X^T X = Q T Q^T, so every
 penalty costs one O(P) tridiagonal solve (Golub & Van Loan, Matrix
 Computations, 4th ed., section 8.3.1).
+
+A design may be at most MAX_DESIGN_COLUMNS columns wide, so that no fit
+asks for a Gram that no memory holds.
 """
 
 import math
@@ -67,6 +78,11 @@ __all__ = [
 
 KERNEL_UNITS = "arbitrary (z-scored response per z-scored feature)"
 
+# cross_validate and fit_trf refuse a wider design before they build it: its
+# P x P Gram would take 2 GiB
+MAX_DESIGN_COLUMNS = 16_384
+_GRAM_BLOCK = 64  # columns per block of a Gram product
+
 
 @dataclass
 class TrfModel:
@@ -103,8 +119,10 @@ class CvReport:
     """Grid-search record: validation score per (penalty, fold).
 
     A closed-form search also keeps its training totals (X^T X, X^T Y) over
-    every segment, which fit_trf solves in place of stacking the segments
-    again; they are neither compared nor printed.
+    every segment and the weights that solve them at best_lambda. fit_trf
+    takes those weights at best_lambda and solves the totals at any other
+    penalty, in place of stacking the segments again; neither is compared
+    nor printed.
     """
 
     grid: list[float]
@@ -114,6 +132,7 @@ class CvReport:
     normal_equations: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
+    best_weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -172,11 +191,19 @@ def _not_positive_definite(lam: float) -> Exception:
     return NumericalError(f"Gram matrix is not positive definite at lambda = {lam}")
 
 
-def _solve_gram(XtX: np.ndarray, XtY: np.ndarray, lam: float) -> np.ndarray:
+def _solve_gram(
+    XtX: np.ndarray, XtY: np.ndarray, lam: float, overwrite_a: bool = False
+) -> np.ndarray:
+    """Weights solving (XtX + lam I) W = XtY by Cholesky, read from XtX's lower triangle.
+
+    By default LAPACK factorises one Fortran-ordered copy and XtX is left as
+    it was. With overwrite_a, a Fortran-ordered XtX is factorised in place:
+    its diagonal and lower triangle are overwritten, its strict upper
+    triangle is neither read nor written.
+    """
     import scipy.linalg
 
-    # one Fortran-ordered copy, which LAPACK then factorises in place
-    A = np.array(XtX, order="F")
+    A = XtX if overwrite_a else np.array(XtX, order="F")
     A[np.diag_indices_from(A)] += lam
     try:
         factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
@@ -407,9 +434,46 @@ def _stack_segments(segments: SegmentSet, indices, spec: LagSpec):
     return _dense_rows([_sparse_stack(segments, indices, spec)])
 
 
-def _gram(X) -> np.ndarray:
-    """Dense X^T X of a CSR design X; Fortran-ordered, as the product is CSC."""
-    return (X.T @ X).toarray()
+def _column_blocks(P: int) -> list:
+    """(j0, j1) bounds of the _GRAM_BLOCK-wide column blocks of a P-column Gram."""
+    return [(j0, min(j0 + _GRAM_BLOCK, P)) for j0 in range(0, P, _GRAM_BLOCK)]
+
+
+def _gram_blocks(X):
+    """Column blocks (j0, j1, X^T X[:, j0:j1]) of a CSR design's Gram, each dense.
+
+    Each block holds the same row-ordered sums as the full sparse product,
+    bit for bit, and that product is exactly symmetric. No P x P sparse
+    product is formed.
+    """
+    Xc = X.tocsc()  # its column slices are cheap, and CSC times CSC converts nothing
+    for j0, j1 in _column_blocks(X.shape[1]):
+        yield j0, j1, (X.T @ Xc[:, j0:j1]).toarray()
+
+
+def _add_gram(G: np.ndarray, X) -> None:
+    """G += X^T X for a CSR design X, one block of columns at a time."""
+    for j0, j1, block in _gram_blocks(X):
+        G[:, j0:j1] += block
+
+
+def _fill_lower(G: np.ndarray, diag: np.ndarray, X=None) -> None:
+    """Write the totals, less X^T X when a CSR design X is given, into G's lower triangle.
+
+    The totals are G's strict upper triangle, read through its mirror, and
+    diag; neither is written. Each entry is the total less X's entry, as
+    the full subtraction of the two Grams gives it.
+    """
+    if X is None:
+        blocks = ((j0, j1, None) for j0, j1 in _column_blocks(len(diag)))
+    else:
+        blocks = _gram_blocks(X)
+    for j0, j1, block in blocks:
+        lower = G[j0:j1, j0:].T.copy()  # rows j0: of columns j0:j1, mirrored from above
+        np.fill_diagonal(lower, diag[j0:j1])
+        if block is not None:
+            lower -= block[j0:]
+        np.copyto(G[j0:, j0:j1], lower, where=np.tri(*lower.shape, dtype=bool))
 
 
 def _penalty_scores(X_val, Y_val, W) -> list:
@@ -417,18 +481,6 @@ def _penalty_scores(X_val, Y_val, W) -> list:
     target = scaled_columns(Y_val)
     blocks = np.split(W, W.shape[1] // Y_val.shape[1], axis=1)
     return [np.mean(correlate(scaled_columns(X_val @ W_g), target)) for W_g in blocks]
-
-
-def _closed_form_fold_scores(X_val, Y_val, G_tot, H_train, grid) -> list:
-    """Validation scores of one fold, trained on G_tot minus the fold's own Gram.
-
-    The fold's Gram is recomputed here rather than kept from the first pass
-    (the sparse product is deterministic, so the bits match), and it and the
-    weights are released on return, before the next fold's Gram is formed.
-    """
-    G = _gram(X_val)
-    W = _ridge_path(np.subtract(G_tot, G, out=G), H_train, grid)
-    return _penalty_scores(X_val, Y_val, W)
 
 
 def cross_validate(
@@ -463,7 +515,8 @@ def cross_validate(
     CvReport
         Per-(penalty, fold) validation scores, the winning penalty, and
         the fold index of every segment; in closed form also the training
-        totals over every segment, for fit_trf.
+        totals over every segment and the weights at the winning penalty,
+        for fit_trf.
     """
     n = len(segments)
     if k < 2:
@@ -481,39 +534,65 @@ def cross_validate(
         _check_penalty(g, "lambda grid entry")
     if solver not in ("closed_form", "iterative"):
         raise PreconditionError(f"unknown solver {solver!r}")
+    _check_design_width(segments.n_features, spec)
 
     folds = np.array_split(np.arange(n), k)
     fold_assignment = [fi for fi, idx in enumerate(folds) for _ in idx]
     stacks = [_sparse_stack(segments, idx, spec) for idx in folds]
-    if solver == "closed_form":
-        # Only the total Gram and one fold's Gram are held at a time: this pass
-        # adds each fold's into G_tot in fold order, as sum() would, from +0.0
-        P = stacks[0][0].shape[1]
-        G_tot = np.zeros((P, P))
-        for X, _ in stacks:
-            G_tot += _gram(X)
-        H = [X.T @ Y for X, Y in stacks]
-        H_tot = sum(H)
-    else:
-        G_tot = H_tot = None
-
     scores = np.empty((len(grid), k))
-    for fi, (X_val, Y_val) in enumerate(stacks):
-        if solver == "closed_form":
-            scores[:, fi] = _closed_form_fold_scores(X_val, Y_val, G_tot, H_tot - H[fi], grid)
-        else:
+    if solver == "iterative":
+        for fi, (X_val, Y_val) in enumerate(stacks):
             X_train, Y_train = _dense_rows(st for fj, st in enumerate(stacks) if fj != fi)
             fits = [fit_iterative(X_train, Y_train, lam, **asdict(iterative)) for lam in grid]
-            W = np.hstack([fit.weights for fit in fits])
-            scores[:, fi] = _penalty_scores(X_val, Y_val, W)
+            scores[:, fi] = _penalty_scores(X_val, Y_val, np.hstack([fit.weights for fit in fits]))
+        return CvReport(
+            grid=grid,
+            per_lambda_scores=scores,
+            best_lambda=pick_best_lambda(grid, scores.mean(axis=1)),
+            fold_assignment=fold_assignment,
+        )
 
+    # One Fortran buffer G serves the whole search. This pass adds each fold's
+    # Gram into it in fold order, from +0.0 as sum() would; from then on its
+    # strict upper triangle and diag hold the totals.
+    P = stacks[0][0].shape[1]
+    G = np.zeros((P, P), order="F")
+    for X_val, Y_val in stacks:
+        _add_gram(G, X_val)
+    diag = G.diagonal().copy()
+    H = [X.T @ Y for X, Y in stacks]
+    H_tot = sum(H)
+    for fi, (X_val, Y_val) in enumerate(stacks):
+        # the fold's training Gram, reduced in place in the lower triangle
+        _fill_lower(G, diag, X_val)
+        scores[:, fi] = _penalty_scores(X_val, Y_val, _ridge_path(G, H_tot - H[fi], grid))
+    del stacks, X_val, Y_val  # the fold designs are not needed again
+    best = pick_best_lambda(grid, scores.mean(axis=1))
+    # the totals at the chosen penalty are factorised in the same lower triangle,
+    # which is then restored, so that the report's G is the totals whole
+    _fill_lower(G, diag)
+    W = _solve_gram(G, H_tot, best, overwrite_a=True)
+    _fill_lower(G, diag)
     return CvReport(
         grid=grid,
         per_lambda_scores=scores,
-        best_lambda=pick_best_lambda(grid, scores.mean(axis=1)),
+        best_lambda=best,
         fold_assignment=fold_assignment,
-        normal_equations=None if G_tot is None else (G_tot, H_tot),
+        normal_equations=(G, H_tot),
+        best_weights=W,
     )
+
+
+def _check_design_width(n_features: int, spec: LagSpec) -> None:
+    """Refuse a design wider than MAX_DESIGN_COLUMNS, before anything of its width is built."""
+    P = n_features * spec.n_lags
+    if P > MAX_DESIGN_COLUMNS:
+        raise PreconditionError(
+            f"{n_features} features x {spec.n_lags} lags (tmin_s={spec.tmin_s} to "
+            f"tmax_s={spec.tmax_s} at fs_hz={spec.fs_hz}) make P = {P} design columns, whose "
+            f"P x P Gram would take {P * P * 8 / 2**30:.1f} GiB; at most "
+            f"{MAX_DESIGN_COLUMNS} columns are allowed"
+        )
 
 
 def _report_totals(cv: CvReport, segments: SegmentSet, spec: LagSpec):
@@ -547,9 +626,11 @@ def fit_trf(
     """Fit one kernel on every segment in the set at a fixed penalty.
 
     cv, the report of cross_validate on the same segments and lag spec,
-    lets the closed-form fit solve the report's training totals instead of
-    stacking the segments and forming their Gram again. A report that does
-    not fit the segments raises PreconditionError.
+    spares the closed-form fit stacking the segments and forming their Gram
+    again: at the report's best_lambda the fit takes the weights the report
+    already solved, and at any other penalty it solves the report's
+    training totals. A report that does not fit the segments raises
+    PreconditionError.
     """
     if len(segments) == 0:
         raise PreconditionError("cannot fit on an empty segment set")
@@ -558,13 +639,19 @@ def fit_trf(
             f"sampling rates differ: segments {segments.fs_hz} vs lag spec {spec.fs_hz}"
         )
     _check_penalty(lam)
+    _check_design_width(segments.n_features, spec)
     totals = None if cv is None else _report_totals(cv, segments, spec)
     everything = range(len(segments))
     if solver == "closed_form":
         if totals is None:
             X, Y = _sparse_stack(segments, everything, spec)
-            totals = _gram(X), X.T @ Y
-        W = _solve_gram(*totals, lam)
+            G = np.zeros((X.shape[1], X.shape[1]), order="F")
+            _add_gram(G, X)
+            W = _solve_gram(G, X.T @ Y, lam, overwrite_a=True)
+        elif lam == cv.best_lambda and cv.best_weights is not None:
+            W = cv.best_weights
+        else:
+            W = _solve_gram(*totals, lam)
     elif solver == "iterative":
         X, Y = _stack_segments(segments, everything, spec)
         W = fit_iterative(X, Y, lam, **asdict(iterative)).weights

@@ -761,17 +761,51 @@ def _run_limited(*argv, timeout_s=60.0, address_space=1536 << 20):
     import subprocess
     import sys
 
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, str(address_space), *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=timeout_s,
+    )
+    return proc.returncode, proc.stderr
+
+
+def _child_env():
+    """The environment of a child interpreter: this trfkit on its path, one BLAS thread."""
     import trfkit
 
     src = str(Path(trfkit.__file__).resolve().parents[1])
     # one BLAS thread keeps the libraries' own address-space reservations small
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = dict(os.environ, PYTHONPATH=src, **threads)
+    return dict(os.environ, PYTHONPATH=src, **threads)
+
+
+# Starts `python argv...` and prints its exit code and the peak RSS in KiB
+# that wait4 reports for it.
+_PEAK_LAUNCHER = (
+    "import os, sys; "
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def _child_peak_rss(argv, timeout_s=300.0):
+    """Exit code and own peak RSS in bytes of `python argv...`, started through a launcher.
+
+    On Linux a child inherits its parent's peak RSS in the ru_maxrss that
+    wait4 reports, so a command started straight from the test process would
+    read at least this process's peak. The launcher holds no more than a bare
+    interpreter, so the command's own peak shows above it.
+    """
+    import subprocess
+    import sys
+
     proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED_MAIN, str(address_space), *argv],
-        env=env, capture_output=True, text=True, timeout=timeout_s,
+        [sys.executable, "-c", _PEAK_LAUNCHER, *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=timeout_s,
     )
-    return proc.returncode, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    code, kib = map(int, proc.stdout.split()[-2:])
+    return code, kib * 1024
 
 
 @pytest.mark.parametrize(
@@ -780,8 +814,10 @@ def _run_limited(*argv, timeout_s=60.0, address_space=1536 << 20):
         ("synth", "synth.word_rate_hz=1e308", ("duration_s", "word_rate_hz")),
         ("synth", "lags.tmax_s=1e8", ("tmin_s", "tmax_s")),
         ("fit", "lags.tmax_s=1e8", ("tmin_s", "tmax_s")),
+        # 3 features x 45,006 lags: a lag count under MAX_LAGS, but a 136 GiB Gram
+        ("fit", "lags.tmax_s=900", ("3 features x 45006 lags", "P = 135018", "135.8 GiB")),
     ],
-    ids=["synth_word_rate", "synth_lags", "fit_lags"],
+    ids=["synth_word_rate", "synth_lags", "fit_lags", "fit_design_width"],
 )
 def test_a_spec_too_large_to_generate_or_lag_exits_2_with_one_error_line(
     tmp_path, command, change, named
@@ -823,6 +859,24 @@ def test_long_story_builds_one_design_per_fold_and_one_test_design(tmp_path, mon
     builds.clear()
     assert _run("evaluate", "--config", str(config)) == 0
     assert builds == [cv["n_test_segments"]]
+
+
+def test_fit_peak_rss_above_its_imports_stays_under_two_grams(tmp_path):
+    # 10 features x 150 lags: P = 1,500, an 18 MB Gram, larger than all else fit holds
+    config = _write_config(tmp_path, {
+        "lags": {"tmin_s": 0.0, "tmax_s": 1.49}, "folds": 2,
+        "synth": {"fs_hz": 100.0, "duration_s": 60.0, "n_channels": 2, "n_features": 10,
+                  "word_rate_hz": 2.0, "snr": 1.0, "n_subjects": 1},
+    })
+    assert _run("synth", "--config", str(config)) == 0
+    code, bare = _child_peak_rss(["-c", "import trfkit.cli, scipy.sparse, scipy.linalg"])
+    assert code == 0
+    code, peak = _child_peak_rss(["-m", "trfkit", "fit", "--config", str(config)])
+    assert code == 0
+    grams = (peak - bare) / (1500**2 * 8)
+    # measured with one BLAS thread: 3.63 Grams while cross-validation held a total and
+    # a fold Gram and fit_trf copied the total; 1.61-1.62 with one buffer for both
+    assert grams < 2.0, f"{grams:.2f} Grams above the imports"
 
 
 def test_divergence_exits_4(tmp_path):

@@ -283,6 +283,17 @@ def test_solve_gram_copies_its_gram_once(order):
     assert np.array_equal(G, kept)  # the caller's Gram is left as it was
 
 
+def test_solve_gram_in_place_keeps_its_strict_upper_triangle_and_copies_nothing():
+    G, H, gram_bytes = _ordered_gram("F")
+    kept = G.copy(order="F")
+    W = _solve_gram(G, H, 1.0)
+    peak = _traced_peak(lambda: _solve_gram(G, H, 1.0, overwrite_a=True))
+    assert peak < gram_bytes / 2, f"{peak / gram_bytes:.2f} Grams"
+    upper = np.triu_indices_from(G, 1)
+    assert G[upper].tobytes() == kept[upper].tobytes()
+    assert _solve_gram(kept, H, 1.0, overwrite_a=True).tobytes() == W.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # iterative solver
 
@@ -640,6 +651,84 @@ def test_closed_form_cv_memory_does_not_grow_with_fold_count():
     cross_validate(segs, spec, grid, k=2)  # loads scipy before tracing
     peaks = [_traced_peak(cross_validate, segs, spec, grid, k) / gram_bytes for k in (2, 8)]
     assert abs(peaks[0] - peaks[1]) < 1, f"{peaks[0]:.2f} and {peaks[1]:.2f} Grams at k = 2 and 8"
+
+
+def test_cv_and_fit_from_its_report_hold_under_two_and_a_half_grams():
+    segs, spec = _segments(seed=2, n_segments=16, n=200, d=2, e=2, lags=(0, 149), density=0.02)
+    gram_bytes = (2 * spec.n_lags) ** 2 * 8
+    grid = [0.1, 10.0]
+    cross_validate(segs, spec, grid, k=2)  # loads scipy before tracing
+
+    def search_and_fit():
+        rep = cross_validate(segs, spec, grid, k=5)
+        fit_trf(segs, spec, rep.best_lambda, cv=rep)
+
+    peak = _traced_peak(search_and_fit) / gram_bytes
+    # measured: 2.93 Grams with a total Gram, a fold Gram, the sparse product behind
+    # each Gram and fit_trf's copy of the total; 2.30 with one buffer for all of them
+    assert peak < 2.5, f"{peak:.2f} Grams"
+
+
+# (-3, 50) gives P = 162 columns: three Gram blocks, the last one partial
+@pytest.mark.parametrize("lags", [(-3, 8), (-3, 50)], ids=["one_block", "three_blocks"])
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
+def test_cv_report_totals_are_the_fold_grams_summed_bit_for_bit(density, k, lags):
+    segs, spec = _segments(seed=8, n_segments=10, n=120, d=3, e=3, lags=lags, density=density)
+    grid = make_lambda_grid(1e-2, 1e3, 6)
+    rep = cross_validate(segs, spec, grid, k=k)
+    assert np.array_equal(rep.per_lambda_scores, _summed_gram_cv_scores(segs, spec, grid, k))
+    G, H = rep.normal_equations
+    summed = np.zeros(G.shape)
+    for idx in np.array_split(np.arange(len(segs)), k):
+        X, _ = _sparse_stack(segs, idx, spec)
+        summed += (X.T @ X).toarray()
+    # every fold's reduction and the final factorisation left no trace in the totals
+    assert G.tobytes(order="C") == summed.tobytes(order="C")
+    assert G.tobytes(order="C") == G.T.tobytes(order="C")
+    # the in-place factorisation gives the weights a copy of the totals gives
+    assert rep.best_weights.tobytes() == _solve_gram(G, H, rep.best_lambda).tobytes()
+
+
+def test_fit_from_cv_report_solves_nothing_at_best_lambda_and_the_totals_elsewhere(monkeypatch):
+    import trfkit.ridge_trf as ridge_trf
+
+    segs, spec = _segments(seed=5, n_segments=10, n=120, d=3, e=3, lags=(-3, 50), density=0.02)
+    grid = make_lambda_grid(1e-2, 1e3, 6)
+    rep = cross_validate(segs, spec, grid, k=5)
+    solved = []
+
+    def counting(XtX, XtY, lam, **kwargs):
+        solved.append(lam)
+        return _solve_gram(XtX, XtY, lam, **kwargs)
+
+    monkeypatch.setattr(ridge_trf, "_solve_gram", counting)
+    model = fit_trf(segs, spec, rep.best_lambda, cv=rep)
+    assert solved == []
+    assert flatten_trf(model).tobytes() == rep.best_weights.tobytes()
+    other = next(lam for lam in grid if lam != rep.best_lambda)
+    model = fit_trf(segs, spec, other, cv=rep)
+    assert solved == [other]  # the patch sees the solve of the report's totals
+    restacked = flatten_trf(fit_trf(segs, spec, other))
+    assert np.max(np.abs(flatten_trf(model) - restacked)) <= 1e-12 * np.max(np.abs(restacked))
+
+
+def test_a_design_wider_than_the_cap_is_refused_before_it_is_built(monkeypatch):
+    import trfkit.ridge_trf as ridge_trf
+
+    segs, spec = _segments(seed=3, n_segments=6, d=3, lags=(0, 4))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a design was built")
+
+    monkeypatch.setattr(ridge_trf, "MAX_DESIGN_COLUMNS", 14)
+    monkeypatch.setattr(ridge_trf, "build_windows_csr", no_build)
+    message = r"3 features x 5 lags .* make P = 15 design columns, .* at most 14 columns are allowed"
+    with pytest.raises(PreconditionError, match=message):
+        cross_validate(segs, spec, [1.0], k=3)
+    for solver in ("closed_form", "iterative"):
+        with pytest.raises(PreconditionError, match=message):
+            fit_trf(segs, spec, 1.0, solver=solver)
 
 
 @pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
