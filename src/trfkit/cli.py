@@ -273,6 +273,16 @@ def _commit_outputs(out_dir: Path, writers: list[tuple[str, object]]) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
+def _named(prefix: str, fn, *args):
+    """fn(*args), with a trfkit error it raises prefixed by what it concerns, once."""
+    try:
+        return fn(*args)
+    except TrfkitError as e:
+        if str(e).startswith(prefix):  # _check_heldout names its subject itself
+            raise
+        raise type(e)(prefix + str(e)) from None
+
+
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -356,10 +366,7 @@ def _fit_one(recs: list, i: int, words, cfg: dict):
     recs[i] = None
     train, test = split_segments(segs, cfg["test_fraction"])
     if len(train) < cfg["folds"]:
-        raise PreconditionError(
-            f"subject {sid}: {len(train)} training segments "
-            f"cannot fill {cfg['folds']} folds"
-        )
+        raise PreconditionError(f"{len(train)} training segments cannot fill {cfg['folds']} folds")
     spec = lag_range_to_samples(**cfg["lags"], fs_hz=fs_hz)
     grid = make_lambda_grid(**cfg["lambda_grid"])
     solver, iterative = cfg["solver"], IterativeOptions(**cfg["iterative"], seed=cfg["seed"])
@@ -394,18 +401,21 @@ def _read_subjects(cfg: dict):
     return recs, words
 
 
-def _map_subjects(fn, items, workers: int):
+def _map_subjects(fn, sids: list, workers: int):
+    """fn(i) for each subject index i, on `workers` threads; an error names its subject once."""
+    def named(i):
+        return _named(f"subject {sids[i]!r}: ", fn, i)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            return list(pool.map(named, range(len(sids))))
+    return [named(i) for i in range(len(sids))]
 
 
 def cmd_fit(cfg: dict, workers: int = 1) -> None:
     """Cross-validate and fit one kernel per subject."""
     recs, words = _read_subjects(cfg)
     sids = [rec.subject_id for rec in recs]
-    results = _map_subjects(lambda i: _fit_one(recs, i, words, cfg), range(len(recs)), workers)
+    results = _map_subjects(lambda i: _fit_one(recs, i, words, cfg), sids, workers)
     writers = []
     for sid, (model, cv_doc) in zip(sids, results):
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
@@ -417,10 +427,10 @@ def cmd_fit(cfg: dict, workers: int = 1) -> None:
 
 def cmd_evaluate(cfg: dict, workers: int = 1) -> None:
     """Score fitted kernels on each subject's held-out segments."""
-    out_dir = cfg["paths"]["output"]
-    if cfg["paths"]["layout"] is None:
+    out_dir, layout_path = cfg["paths"]["output"], cfg["paths"]["layout"]
+    if layout_path is None:
         raise ConfigError("paths.layout is not set")
-    layout = read_channel_layout(cfg["paths"]["layout"])
+    layout = read_channel_layout(layout_path)
     recs, words = _read_subjects(cfg)
     fits = []
     for rec in recs:
@@ -432,19 +442,19 @@ def cmd_evaluate(cfg: dict, workers: int = 1) -> None:
                 )
         fits.append((read_trf(paths[0]), read_json(paths[1])))
 
-    def evaluate_one(pair):
-        rec, (model, cv_doc) = pair
+    def evaluate_one(i):
+        rec, (model, cv_doc) = recs[i], fits[i]
         segs = _prepare_segments(rec, words, cfg)
         _, test = split_segments(segs, cfg["test_fraction"])
         _check_heldout(rec.subject_id, cv_doc, _heldout_record(cfg, test))
         return evaluate_subject(model, test, model.lag_spec, subject_id=rec.subject_id)
 
-    reports = _map_subjects(evaluate_one, list(zip(recs, fits)), workers)
+    reports = _map_subjects(evaluate_one, [rec.subject_id for rec in recs], workers)
     group = group_report(reports)
     writers = []
     for report in reports:
         sid = report.subject_id
-        rows = topo_report(report, layout)
+        rows = _named(f"{layout_path}: ", topo_report, report, layout)
         writers.append((f"{sid}_eval.json", lambda p, d=report.to_json(): write_json(p, d)))
         writers.append((f"{sid}_topo.csv", lambda p, r=rows: write_topo_csv(p, r)))
         _log(f"evaluate {sid}: mean r {report.mean_r:.4f} over {report.n_samples} samples")
@@ -465,7 +475,7 @@ def cmd_lda(cfg: dict) -> None:
     if untagged.size:
         shown = ", ".join(f"row {k + 2} ({words.tokens[k]!r})" for k in untagged[:10])
         more = "" if untagged.size <= 10 else f" and {untagged.size - 10} more"
-        raise ValidationError(f"word events without a POS tag: {shown}{more}")
+        raise ValidationError(f"{path}: word events without a POS tag: {shown}{more}")
     try:
         with np.errstate(over="raise"):
             model = fit_lda(words.vectors(), words.tags, cfg["lda"]["n_components"])
@@ -475,6 +485,8 @@ def cmd_lda(cfg: dict) -> None:
         raise NumericalError(
             f"{path}: its vectors are too large for the discriminant reduction ({e})"
         ) from None
+    except TrfkitError as e:  # e.g. a tag that too few rows carry
+        raise type(e)(f"{path}: {e}") from None
     if model.clamped:
         _log(
             f"lda: clamped from {model.requested_components} to "

@@ -21,11 +21,10 @@ search. A first pass sums every fold's Gram into it; the strict upper
 triangle and a copy of the diagonal then keep those training totals. Each
 fold writes its training Gram (the totals less its own Gram) into the
 lower triangle, where the reduction runs in place and leaves the upper
-triangle as it was. After the last fold the same lower triangle holds the
-Cholesky factor of the totals at the chosen penalty, and is then restored
-from the upper one. The report carries the totals and the weights at the
-chosen penalty, so the closed-form final fit given the report builds no
-design and forms no Gram; at the chosen penalty it factorises nothing.
+triangle as it was. After the last fold the chosen penalty's Cholesky
+factorises the totals in the lower triangle, and the report carries the
+weights it gives: the closed-form final fit at that penalty, given the
+report, builds no design, forms no Gram and factorises nothing.
 
 Cross-validation assigns segments to contiguous folds in temporal order
 and scores each candidate penalty by the mean Pearson correlation across
@@ -118,20 +117,16 @@ class TrfModel:
 class CvReport:
     """Grid-search record: validation score per (penalty, fold).
 
-    A closed-form search also keeps its training totals (X^T X, X^T Y) over
-    every segment and the weights that solve them at best_lambda. fit_trf
-    takes those weights at best_lambda and solves the totals at any other
-    penalty, in place of stacking the segments again; neither is compared
-    nor printed.
+    A closed-form search also keeps the (P, E) weights that solve its
+    training totals over every segment at best_lambda. fit_trf takes them
+    at best_lambda in place of stacking the segments again; they are
+    neither compared nor printed.
     """
 
     grid: list[float]
     per_lambda_scores: np.ndarray  # (len(grid), n_folds)
     best_lambda: float
     fold_assignment: list[int]
-    normal_equations: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
     best_weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -272,7 +267,9 @@ def ridge_closed_form(X, Y, lam: float) -> np.ndarray:
             f"X has {X.shape[0]} rows but Y has {Y.shape[0]}"
         )
     _check_penalty(lam)
-    return _solve_gram(X.T @ X, X.T @ Y, lam)
+    # X^T X is exactly symmetric, so its transpose is the same matrix in the
+    # Fortran order that lets the Cholesky run in place
+    return _solve_gram((X.T @ X).T, X.T @ Y, lam, overwrite_a=True)
 
 
 def fit_iterative(
@@ -514,19 +511,16 @@ def cross_validate(
     -------
     CvReport
         Per-(penalty, fold) validation scores, the winning penalty, and
-        the fold index of every segment; in closed form also the training
-        totals over every segment and the weights at the winning penalty,
-        for fit_trf.
+        the fold index of every segment; in closed form also the weights
+        that solve the training totals over every segment at the winning
+        penalty, for fit_trf.
     """
     n = len(segments)
     if k < 2:
         raise PreconditionError(f"need at least 2 folds, got {k}")
     if n < k:
         raise PreconditionError(f"{n} segments cannot fill {k} folds")
-    if spec.fs_hz != segments.fs_hz:
-        raise PreconditionError(
-            f"sampling rates differ: segments {segments.fs_hz} vs lag spec {spec.fs_hz}"
-        )
+    _check_design(segments, spec)
     grid = [float(g) for g in grid]
     if not grid:
         raise PreconditionError("lambda grid is empty")
@@ -534,7 +528,6 @@ def cross_validate(
         _check_penalty(g, "lambda grid entry")
     if solver not in ("closed_form", "iterative"):
         raise PreconditionError(f"unknown solver {solver!r}")
-    _check_design_width(segments.n_features, spec)
 
     folds = np.array_split(np.arange(n), k)
     fold_assignment = [fi for fi, idx in enumerate(folds) for _ in idx]
@@ -568,23 +561,24 @@ def cross_validate(
         scores[:, fi] = _penalty_scores(X_val, Y_val, _ridge_path(G, H_tot - H[fi], grid))
     del stacks, X_val, Y_val  # the fold designs are not needed again
     best = pick_best_lambda(grid, scores.mean(axis=1))
-    # the totals at the chosen penalty are factorised in the same lower triangle,
-    # which is then restored, so that the report's G is the totals whole
-    _fill_lower(G, diag)
-    W = _solve_gram(G, H_tot, best, overwrite_a=True)
+    # the totals at the chosen penalty are factorised in the same lower triangle
     _fill_lower(G, diag)
     return CvReport(
         grid=grid,
         per_lambda_scores=scores,
         best_lambda=best,
         fold_assignment=fold_assignment,
-        normal_equations=(G, H_tot),
-        best_weights=W,
+        best_weights=_solve_gram(G, H_tot, best, overwrite_a=True),
     )
 
 
-def _check_design_width(n_features: int, spec: LagSpec) -> None:
-    """Refuse a design wider than MAX_DESIGN_COLUMNS, before anything of its width is built."""
+def _check_design(segments: SegmentSet, spec: LagSpec) -> None:
+    """Refuse another sampling rate, or a design wider than MAX_DESIGN_COLUMNS, before a build."""
+    if spec.fs_hz != segments.fs_hz:
+        raise PreconditionError(
+            f"sampling rates differ: segments {segments.fs_hz} vs lag spec {spec.fs_hz}"
+        )
+    n_features = segments.n_features
     P = n_features * spec.n_lags
     if P > MAX_DESIGN_COLUMNS:
         raise PreconditionError(
@@ -595,24 +589,20 @@ def _check_design_width(n_features: int, spec: LagSpec) -> None:
         )
 
 
-def _report_totals(cv: CvReport, segments: SegmentSet, spec: LagSpec):
-    """The report's training totals, once they are shown to fit these segments and lags."""
+def _check_report(cv: CvReport, segments: SegmentSet, spec: LagSpec) -> None:
+    """Refuse a cross-validation report that was not made on these segments and lags."""
     if len(cv.fold_assignment) != len(segments):
         raise PreconditionError(
             f"the cross-validation report covers {len(cv.fold_assignment)} segments "
             f"but {len(segments)} were given"
         )
-    if cv.normal_equations is None:
-        return None
-    G, H = cv.normal_equations
     P, E = segments.n_features * spec.n_lags, segments.n_channels
-    if G.shape != (P, P) or H.shape != (P, E):
+    if cv.best_weights is not None and cv.best_weights.shape != (P, E):
         raise PreconditionError(
-            f"the cross-validation report's totals have shapes {G.shape} and {H.shape}, "
+            f"the cross-validation report's weights have shape {cv.best_weights.shape}, "
             f"but {segments.n_features} features x {spec.n_lags} lags and "
-            f"{E} channels need ({P}, {P}) and ({P}, {E})"
+            f"{E} channels need ({P}, {E})"
         )
-    return G, H
 
 
 def fit_trf(
@@ -626,32 +616,27 @@ def fit_trf(
     """Fit one kernel on every segment in the set at a fixed penalty.
 
     cv, the report of cross_validate on the same segments and lag spec,
-    spares the closed-form fit stacking the segments and forming their Gram
-    again: at the report's best_lambda the fit takes the weights the report
-    already solved, and at any other penalty it solves the report's
-    training totals. A report that does not fit the segments raises
+    spares the closed-form fit at the report's best_lambda stacking the
+    segments, forming their Gram and solving it: the fit takes the weights
+    the report already solved. At any other penalty the fit runs as it
+    does without a report. A report that does not fit the segments raises
     PreconditionError.
     """
     if len(segments) == 0:
         raise PreconditionError("cannot fit on an empty segment set")
-    if spec.fs_hz != segments.fs_hz:
-        raise PreconditionError(
-            f"sampling rates differ: segments {segments.fs_hz} vs lag spec {spec.fs_hz}"
-        )
+    _check_design(segments, spec)
     _check_penalty(lam)
-    _check_design_width(segments.n_features, spec)
-    totals = None if cv is None else _report_totals(cv, segments, spec)
+    if cv is not None:
+        _check_report(cv, segments, spec)
     everything = range(len(segments))
     if solver == "closed_form":
-        if totals is None:
+        if cv is not None and lam == cv.best_lambda and cv.best_weights is not None:
+            W = cv.best_weights
+        else:
             X, Y = _sparse_stack(segments, everything, spec)
             G = np.zeros((X.shape[1], X.shape[1]), order="F")
             _add_gram(G, X)
             W = _solve_gram(G, X.T @ Y, lam, overwrite_a=True)
-        elif lam == cv.best_lambda and cv.best_weights is not None:
-            W = cv.best_weights
-        else:
-            W = _solve_gram(*totals, lam)
     elif solver == "iterative":
         X, Y = _stack_segments(segments, everything, spec)
         W = fit_iterative(X, Y, lam, **asdict(iterative)).weights

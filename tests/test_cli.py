@@ -486,6 +486,68 @@ def test_evaluate_refuses_segments_fit_did_not_hold_out(tmp_path, capsys):
     assert _run("evaluate", "--config", str(config), "--set", "test_fraction=0.2") == 0
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_fit_on_a_truncated_word_file_names_the_subject(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    capsys.readouterr()
+    words = tmp_path / "out" / "words.tsv"
+    words.write_text("".join(words.read_text().splitlines(keepends=True)[:4]))
+    # three words leave later validation windows without a stimulus
+    assert _run("fit", "--config", str(config)) == 2
+    assert _one_error_line(capsys) == (
+        "error: subject 'sub00': correlation is undefined for a constant series"
+    )
+    assert not (tmp_path / "out" / "sub00_trf.btsr").exists()
+
+
+def test_fit_on_a_recording_whose_rate_header_is_wrong_names_the_subject_once(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    capsys.readouterr()
+    eeg = tmp_path / "out" / "sub00_eeg.btsr"
+    raw = eeg.read_bytes()
+    eeg.write_bytes(raw.replace(b'"fs_hz": 50.0', b'"fs_hz": 70.0', 1))  # one flipped bit: 5 -> 7
+    assert _run("fit", "--config", str(config)) == 2
+    line = _one_error_line(capsys)
+    assert line.startswith("error: subject 'sub00': event(s) fall outside the 2000-sample grid")
+    assert line.count("sub00") == 1
+    # the fold-count message is prefixed by the same rule, not by its own
+    eeg.write_bytes(raw)
+    assert _run("fit", "--config", str(config), "--set", "folds=50") == 2
+    assert _one_error_line(capsys) == (
+        "error: subject 'sub00': 18 training segments cannot fill 50 folds"
+    )
+
+
+def test_evaluate_with_a_layout_that_lacks_a_channel_names_the_layout(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config)) == 0
+    layout = tmp_path / "out" / "layout.csv"
+    layout.write_text("".join(layout.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert _run("evaluate", "--config", str(config)) == 2
+    assert _one_error_line(capsys) == f"error: {layout}: channel(s) absent from the layout: C01"
+    assert not (tmp_path / "out" / "group_eval.json").exists()
+
+
+def test_evaluate_names_a_held_out_mismatch_once(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config)) == 0
+    capsys.readouterr()
+    assert _run("evaluate", "--config", str(config), "--set", "window_s=1.5") == 2
+    line = _one_error_line(capsys)
+    assert line.startswith("error: subject 'sub00': config window_s is 1.5")
+    assert line.count("sub00") == 1
+
+
 # Each setting takes few values, so that a second draw often yields the
 # same held-out record as the first.
 _SPLIT_SETTINGS = {
@@ -982,6 +1044,15 @@ def test_lda_rejects_untagged_rows(tmp_path, capsys):
     assert _run("lda", "--config", str(config)) == 2
     err = capsys.readouterr().err
     assert "row 2" in err
+
+
+def test_lda_on_untagged_words_names_the_word_file(tmp_path, capsys):
+    config = _write_config(tmp_path, {"lda": {"enabled": True, "n_components": 2}})
+    assert _run("synth", "--config", str(config)) == 0  # synth words carry no tags
+    capsys.readouterr()
+    assert _run("lda", "--config", str(config)) == 2
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: {tmp_path / 'out' / 'words.tsv'}: word events without a POS tag")
 
 
 def test_lda_with_a_huge_feature_value_exits_4_with_one_error_line(tmp_path, capsys):
