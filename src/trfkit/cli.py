@@ -360,11 +360,16 @@ def _check_heldout(sid: str, cv_doc, now: dict) -> None:
 
 
 def _fit_one(recs: list, i: int, words, cfg: dict):
-    """Fit subject recs[i]; once it is segmented, recs[i] is set to None to release the recording."""
+    """Fit subject recs[i]; once it is segmented, recs[i] is set to None to release the recording.
+
+    The held-out windows are released too once their starts are recorded.
+    """
     sid, fs_hz = recs[i].subject_id, recs[i].fs_hz
     segs = _prepare_segments(recs[i], words, cfg)
     recs[i] = None
     train, test = split_segments(segs, cfg["test_fraction"])
+    heldout, n_test = _heldout_record(cfg, test), len(test)
+    del segs, test
     if len(train) < cfg["folds"]:
         raise PreconditionError(f"{len(train)} training segments cannot fill {cfg['folds']} folds")
     spec = lag_range_to_samples(**cfg["lags"], fs_hz=fs_hz)
@@ -379,9 +384,9 @@ def _fit_one(recs: list, i: int, words, cfg: dict):
         "best_lambda": report.best_lambda,
         "fold_assignment": report.fold_assignment,
         "n_train_segments": len(train),
-        "n_test_segments": len(test),
+        "n_test_segments": n_test,
         "solver": solver,
-        "heldout": _heldout_record(cfg, test),
+        "heldout": heldout,
     }
 
 

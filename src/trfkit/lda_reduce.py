@@ -98,9 +98,11 @@ def _class_partition(vectors: np.ndarray, labels) -> tuple[list[str], dict]:
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise PreconditionError(f"need at least 2 classes, got {len(classes)}")
-    index = {c: ci for ci, c in enumerate(classes)}
-    inverse = np.fromiter((index[lab] for lab in labels), dtype=np.intp, count=len(labels))
-    members = {c: np.flatnonzero(inverse == ci) for ci, c in enumerate(classes)}
+    index = dict(zip(classes, range(len(classes))))
+    inverse = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+    # one stable sort by class lists each class's rows in ascending order
+    by_class = np.argsort(inverse, kind="stable")
+    members = dict(zip(classes, np.split(by_class, np.cumsum(np.bincount(inverse))[:-1])))
     for c in classes:
         if members[c].size < 2:
             raise PreconditionError(f"class {c!r} has {members[c].size} sample(s), need >= 2")

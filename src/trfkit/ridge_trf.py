@@ -17,14 +17,19 @@ iterative solver works on the dense design: each kept fold design writes
 its own row block of one training array.
 
 Closed-form cross-validation holds one Fortran P x P buffer for the whole
-search. A first pass sums every fold's Gram into it; the strict upper
-triangle and a copy of the diagonal then keep those training totals. Each
-fold writes its training Gram (the totals less its own Gram) into the
-lower triangle, where the reduction runs in place and leaves the upper
-triangle as it was. After the last fold the chosen penalty's Cholesky
-factorises the totals in the lower triangle, and the report carries the
-weights it gives: the closed-form final fit at that penalty, given the
-report, builds no design, forms no Gram and factorises nothing.
+search. A first pass builds every fold's design and sums its Gram into the
+buffer and its X^T Y into a (P, E) total; the strict upper triangle and a
+copy of the diagonal then keep the Gram totals. Each fold writes its
+training Gram (the totals less its own Gram) into the lower triangle,
+where the reduction runs in place and leaves the upper triangle as it
+was. The fold designs are kept, their responses are not: a fold's
+response is concatenated again when the fold is scored. So the search
+holds at once the P x P buffer, the fold designs, one fold's response and
+one weight block with every penalty's weights. After the last fold the
+chosen penalty's Cholesky factorises the totals in the lower triangle,
+and the report carries the weights it gives: the closed-form final fit at
+that penalty, given the report, builds no design, forms no Gram and
+factorises nothing.
 
 Cross-validation assigns segments to contiguous folds in temporal order
 and scores each candidate penalty by the mean Pearson correlation across
@@ -212,26 +217,29 @@ def _apply_q(trans: str, reflectors: np.ndarray, tau: np.ndarray, C: np.ndarray)
     import scipy.linalg
 
     ormqr = scipy.linalg.lapack.dormqr
-    lwork = int(ormqr("L", trans, reflectors, tau, C, -1)[1][0])
+    # LAPACK writes nothing to C on a workspace query, so f2py need not copy it
+    lwork = int(ormqr("L", trans, reflectors, tau, C, -1, overwrite_c=1)[1][0])
     return ormqr("L", trans, reflectors, tau, C, lwork, overwrite_c=1)[0]
 
 
-def _ridge_path(XtX: np.ndarray, XtY: np.ndarray, grid) -> np.ndarray:
+def _ridge_path(XtX: np.ndarray, XtY: np.ndarray, grid):
     """Ridge weights at every penalty of grid from one tridiagonal reduction.
 
     X^T X = Q T Q^T (LAPACK dsytrd) turns each (X^T X + lam I) W = X^T Y
     into (T + lam I) Z = Q^T X^T Y, one O(P) tridiagonal solve, and one
-    back-transform W = Q Z serves all penalties. Returns (P, len(grid) * E);
-    the weights for grid[g] are columns g*E to (g+1)*E. The reduction runs
-    in place on XtX when it is Fortran- or C-contiguous (a C-ordered XtX is
-    read through its transpose, the same matrix), so pass a copy to keep it;
-    LAPACK copies any other layout. Failures raise as _solve_gram's do.
+    back-transform W = Q Z serves all penalties. Returns an iterator over
+    the (P, E) weights of each penalty in grid order; all of them are
+    solved before it is returned, and each block is assembled as it is
+    reached. The reduction runs in place on XtX when it is Fortran- or
+    C-contiguous (a C-ordered XtX is read through its transpose, the same
+    matrix), so pass a copy to keep it; LAPACK copies any other layout.
+    Failures raise as _solve_gram's do.
     """
     import scipy.linalg
 
     P, E = XtY.shape
     if P == 1:  # nothing to reduce, and dptsv takes no empty subdiagonal
-        return np.hstack([_solve_gram(XtX, XtY, lam) for lam in grid])
+        return iter([_solve_gram(XtX, XtY, lam) for lam in grid])
     # A Gram's zero diagonal entry is an all-zero row. Cholesky meets it as an
     # exact zero pivot; the reduction mixes it into other rows, where rounding
     # can leave T + 0 I positive definite.
@@ -247,13 +255,28 @@ def _ridge_path(XtX: np.ndarray, XtY: np.ndarray, grid) -> np.ndarray:
     reflectors = c.reshape(-1, order="F")[1 : 1 + P * (P - 1)].reshape(P, P - 1, order="F")
     B = np.array(XtY, order="F")
     B[1:] = _apply_q("T", reflectors, tau, B[1:])
-    Z = np.empty((P, len(grid) * E), order="F")
+    # Q' acts on rows 1: alone, so they get their own Fortran block, which dormqr
+    # transforms in place; row 0 of every penalty's weights is kept apart
+    row0 = np.empty(len(grid) * E)
+    rest = np.empty((P - 1, len(grid) * E), order="F")
     for gi, lam in enumerate(grid):
-        _, _, Z[:, gi * E : (gi + 1) * E], info = scipy.linalg.lapack.dptsv(d + lam, e, B)
+        _, _, Z, info = scipy.linalg.lapack.dptsv(d + lam, e, B)
         if info > 0 or (lam == 0 and zero_row):
             raise _not_positive_definite(lam)
-    Z[1:] = _apply_q("N", reflectors, tau, Z[1:])
-    return Z
+        row0[gi * E : (gi + 1) * E] = Z[0]
+        rest[:, gi * E : (gi + 1) * E] = Z[1:]
+        del Z  # so that the next penalty's solve does not sit beside it
+    del B  # nor does the back-transform need the right-hand side
+    return _penalty_blocks(row0, _apply_q("N", reflectors, tau, rest), E)
+
+
+def _penalty_blocks(row0: np.ndarray, rest: np.ndarray, E: int):
+    """Each penalty's (P, E) weights from row 0 and rows 1: of a ridge path, one at a time."""
+    for j0 in range(0, row0.size, E):
+        W = np.empty((rest.shape[0] + 1, E))
+        W[0] = row0[j0 : j0 + E]
+        W[1:] = rest[:, j0 : j0 + E]
+        yield W
 
 
 def ridge_closed_form(X, Y, lam: float) -> np.ndarray:
@@ -410,9 +433,13 @@ def pick_best_lambda(grid, mean_scores) -> float:
 
 def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
     """CSR design and response of the given segments, stacked in order by one build."""
-    segs = [segments.segments[i] for i in indices]
-    X = build_windows_csr([seg.x for seg in segs], spec)
-    return X, np.concatenate([seg.y for seg in segs])
+    X = build_windows_csr([segments.segments[i].x for i in indices], spec)
+    return X, _stacked_response(segments, indices)
+
+
+def _stacked_response(segments: SegmentSet, indices) -> np.ndarray:
+    """Response of the given segments, concatenated in order."""
+    return np.concatenate([segments.segments[i].y for i in indices])
 
 
 def _dense_rows(stacks):
@@ -473,11 +500,12 @@ def _fill_lower(G: np.ndarray, diag: np.ndarray, X=None) -> None:
         np.copyto(G[j0:, j0:j1], lower, where=np.tri(*lower.shape, dtype=bool))
 
 
-def _penalty_scores(X_val, Y_val, W) -> list:
-    """Mean channel r of X_val @ W_g against Y_val for each penalty's block W_g of W."""
-    target = scaled_columns(Y_val)
-    blocks = np.split(W, W.shape[1] // Y_val.shape[1], axis=1)
-    return [np.mean(correlate(scaled_columns(X_val @ W_g), target)) for W_g in blocks]
+def _penalty_scores(X_val, target, weights) -> list:
+    """Mean channel r of X_val @ W_g against the held-out response for each penalty's weights W_g.
+
+    target is the response's scaled_columns, so the response itself need not be kept.
+    """
+    return [np.mean(correlate(scaled_columns(X_val @ W_g), target)) for W_g in weights]
 
 
 def cross_validate(
@@ -531,13 +559,15 @@ def cross_validate(
 
     folds = np.array_split(np.arange(n), k)
     fold_assignment = [fi for fi, idx in enumerate(folds) for _ in idx]
-    stacks = [_sparse_stack(segments, idx, spec) for idx in folds]
     scores = np.empty((len(grid), k))
     if solver == "iterative":
+        stacks = [_sparse_stack(segments, idx, spec) for idx in folds]
         for fi, (X_val, Y_val) in enumerate(stacks):
             X_train, Y_train = _dense_rows(st for fj, st in enumerate(stacks) if fj != fi)
             fits = [fit_iterative(X_train, Y_train, lam, **asdict(iterative)) for lam in grid]
-            scores[:, fi] = _penalty_scores(X_val, Y_val, np.hstack([fit.weights for fit in fits]))
+            scores[:, fi] = _penalty_scores(
+                X_val, scaled_columns(Y_val), [fit.weights for fit in fits]
+            )
         return CvReport(
             grid=grid,
             per_lambda_scores=scores,
@@ -545,21 +575,32 @@ def cross_validate(
             fold_assignment=fold_assignment,
         )
 
-    # One Fortran buffer G serves the whole search. This pass adds each fold's
-    # Gram into it in fold order, from +0.0 as sum() would; from then on its
-    # strict upper triangle and diag hold the totals.
-    P = stacks[0][0].shape[1]
+    # One Fortran buffer G serves the whole search. This pass builds each fold's
+    # design and adds its Gram and X^T Y into the totals in fold order, from +0.0
+    # as sum() would; from then on G's strict upper triangle and diag hold the
+    # Gram totals. Only the designs are kept: a fold's response is concatenated
+    # again when the fold is scored, and its X^T Y is the same product again.
+    P = segments.n_features * spec.n_lags
     G = np.zeros((P, P), order="F")
-    for X_val, Y_val in stacks:
-        _add_gram(G, X_val)
+    H_tot = 0
+    designs = []
+    for idx in folds:
+        X, Y = _sparse_stack(segments, idx, spec)
+        _add_gram(G, X)
+        H_tot = H_tot + X.T @ Y
+        designs.append(X)
+    del Y
     diag = G.diagonal().copy()
-    H = [X.T @ Y for X, Y in stacks]
-    H_tot = sum(H)
-    for fi, (X_val, Y_val) in enumerate(stacks):
+    for fi, (idx, X_val) in enumerate(zip(folds, designs)):
         # the fold's training Gram, reduced in place in the lower triangle
         _fill_lower(G, diag, X_val)
-        scores[:, fi] = _penalty_scores(X_val, Y_val, _ridge_path(G, H_tot - H[fi], grid))
-    del stacks, X_val, Y_val  # the fold designs are not needed again
+        Y_val = _stacked_response(segments, idx)
+        weights = _ridge_path(G, H_tot - X_val.T @ Y_val, grid)
+        target = scaled_columns(Y_val)
+        del Y_val  # scoring needs only its scaled copy, and that only for this fold
+        scores[:, fi] = _penalty_scores(X_val, target, weights)
+        del target
+    del designs, X_val  # the fold designs are not needed again
     best = pick_best_lambda(grid, scores.mean(axis=1))
     # the totals at the chosen penalty are factorised in the same lower triangle
     _fill_lower(G, diag)

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -300,33 +301,36 @@ def read_tensor_header(path) -> dict:
 
 
 def read_tensor(path) -> TensorFile:
+    """Read a BTSR file; its values are read straight from the file into one owned array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    header, offset = _parse_header(raw, path)
+        header, offset = _parse_header(fh.readline(_HEADER_LIMIT), path)
+        dtype_tag = header.get("dtype")
+        if not isinstance(dtype_tag, str) or dtype_tag not in _DTYPES:
+            raise FormatError(f"{path}: unknown dtype tag {dtype_tag!r}")
+        shape = header.get("shape")
+        if (
+            not isinstance(shape, list)
+            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)
+        ):
+            raise ValidationError(
+                f"{path}: shape must be a list of nonnegative integers, got {shape!r}"
+            )
+        meta = header.get("meta")
+        if not isinstance(meta, dict):
+            raise ValidationError(f"{path}: meta must be a JSON object, got {type(meta).__name__}")
 
-    dtype_tag = header.get("dtype")
-    if not isinstance(dtype_tag, str) or dtype_tag not in _DTYPES:
-        raise FormatError(f"{path}: unknown dtype tag {dtype_tag!r}")
-    shape = header.get("shape")
-    if (
-        not isinstance(shape, list)
-        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)
-    ):
-        raise ValidationError(f"{path}: shape must be a list of nonnegative integers, got {shape!r}")
-    meta = header.get("meta")
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{path}: meta must be a JSON object, got {type(meta).__name__}")
-
-    np_dtype = _DTYPES[dtype_tag]
-    count = math.prod(shape)
-    expected = count * np_dtype.itemsize
-    n_bytes = len(raw) - offset
-    if n_bytes != expected:
-        raise ValidationError(
-            f"{path}: payload holds {n_bytes // np_dtype.itemsize} values "
-            f"({n_bytes} bytes) but shape {shape} requires {count}"
-        )
-    values = np.frombuffer(raw, dtype=np_dtype, count=count, offset=offset).copy()
+        np_dtype = _DTYPES[dtype_tag]
+        count = math.prod(shape)
+        expected = count * np_dtype.itemsize
+        n_bytes = os.fstat(fh.fileno()).st_size - offset
+        if n_bytes != expected:
+            raise ValidationError(
+                f"{path}: payload holds {n_bytes // np_dtype.itemsize} values "
+                f"({n_bytes} bytes) but shape {shape} requires {count}"
+            )
+        values = np.empty(count, dtype=np_dtype)
+        if fh.readinto(values.view(np.uint8)) != n_bytes:
+            raise ValidationError(f"{path}: the payload shrank while it was read")
     try:  # a zero entry lets a huge one past the size check; the view is discarded
         values.reshape(shape)
     except ValueError:

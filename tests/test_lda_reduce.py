@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +12,7 @@ from trfkit.lda_reduce import (
     SCATTER_RIDGE_EPS,
     ComponentClampWarning,
     LdaModel,
+    _class_partition,
     _mean_pairwise_distance,
     fit_lda,
     read_lda,
@@ -319,3 +322,38 @@ def test_lda_file_roundtrip_property(tmp_path, data):
     assert back.eigenvalues.tobytes() == model.eigenvalues.tobytes()
     assert back.n_components == k
     assert back.requested_components == model.requested_components
+
+
+def _looped_partition(labels):
+    """Classes and member rows as a per-label loop finds them: the reference."""
+    labels = [str(lab) for lab in labels]
+    classes = sorted(set(labels))
+    return classes, {c: np.array([i for i, lab in enumerate(labels) if lab == c]) for c in classes}
+
+
+# labels of several types, some of which str() maps to the same class ("1" and 1)
+_LABELS = st.one_of(
+    st.text(max_size=3), st.integers(-2, 2), st.sampled_from(["NOUN", "VERB", None, 1.5, "\x00", "a\x00"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(_LABELS, min_size=1, max_size=60))
+def test_class_partition_is_the_looped_partition(labels):
+    classes, members = _looped_partition(labels)
+    vectors = np.zeros((len(labels), 2))
+    short = [c for c in classes if members[c].size < 2]
+    if len(classes) < 2 or short:
+        message = (
+            f"need at least 2 classes, got {len(classes)}" if len(classes) < 2
+            else f"class {short[0]!r} has {members[short[0]].size} sample(s), need >= 2"
+        )
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            _class_partition(vectors, labels)
+        return
+    got_classes, got_members = _class_partition(vectors, labels)
+    assert got_classes == classes
+    assert list(got_members) == classes
+    for c in classes:
+        assert got_members[c].dtype == np.intp
+        assert got_members[c].tolist() == members[c].tolist()

@@ -20,6 +20,7 @@ from trfkit.lagged_design import LagSpec, build_lagged_csr, build_lagged_matrix,
 from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
 from trfkit.ridge_trf import (
     CvReport,
+    _apply_q,
     _penalty_scores,
     _ridge_path,
     _solve_gram,
@@ -38,6 +39,7 @@ from trfkit.ridge_trf import (
     ridge_closed_form,
     write_trf,
 )
+from trfkit._util import scaled_columns
 from trfkit.stats_eval import mean_channel_r
 from trfkit.tensorio import write_tensor
 
@@ -252,7 +254,7 @@ def _gram_problem(P, E, seed):
 def test_ridge_path_matches_per_lambda_cholesky(P, E, seed, grid):
     A, H = _gram_problem(P, E, seed)
     G = A.T @ A
-    W = _ridge_path(G.copy(), H, grid)  # the helper overwrites its Gram
+    W = np.hstack(list(_ridge_path(G.copy(), H, grid)))  # the helper overwrites its Gram
     assert W.shape == (P, len(grid) * E)
     for gi, lam in enumerate(grid):
         ref = _solve_gram(G, H, lam)
@@ -267,7 +269,7 @@ def test_ridge_path_zero_row_is_singular_at_lambda_zero(P, E, seed, row):
     G = A.T @ A
     with pytest.raises(SingularSystemError):
         _ridge_path(G.copy(), H, [1.0, 0.0])
-    assert np.all(np.isfinite(_ridge_path(G.copy(), H, [1.0])))
+    assert np.all(np.isfinite(np.hstack(list(_ridge_path(G.copy(), H, [1.0])))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,6 +326,65 @@ def test_solve_gram_in_place_keeps_its_strict_upper_triangle_and_copies_nothing(
     upper = np.triu_indices_from(G, 1)
     assert G[upper].tobytes() == kept[upper].tobytes()
     assert _solve_gram(kept, H, 1.0, overwrite_a=True).tobytes() == W.tobytes()
+
+
+def _copying_ridge_path(XtX, XtY, grid):
+    """The ridge path with one (P, len(grid) * E) weight block, whose rows 1: the
+    back-transform gets as a copy: the layout _ridge_path had before it kept row 0 apart."""
+    import scipy.linalg
+
+    P, E = XtY.shape
+    lwork = int(scipy.linalg.lapack.dsytrd_lwork(P, lower=1)[0])
+    A = XtX if XtX.flags.f_contiguous else XtX.T
+    c, d, e, tau, _ = scipy.linalg.lapack.dsytrd(A, lower=1, lwork=lwork, overwrite_a=1)
+    reflectors = c.reshape(-1, order="F")[1 : 1 + P * (P - 1)].reshape(P, P - 1, order="F")
+    B = np.array(XtY, order="F")
+    B[1:] = _apply_q("T", reflectors, tau, B[1:])
+    Z = np.empty((P, len(grid) * E), order="F")
+    for gi, lam in enumerate(grid):
+        _, _, Z[:, gi * E : (gi + 1) * E], info = scipy.linalg.lapack.dptsv(d + lam, e, B)
+        assert info == 0
+    Z[1:] = _apply_q("N", reflectors, tau, Z[1:])
+    return Z
+
+
+def _assert_split_path_matches_copying_path(P, E, seed, grid):
+    A, H = _gram_problem(P, E, seed)
+    G = A.T @ A
+    W = np.hstack(list(_ridge_path(G.copy(), H, grid)))
+    assert W.tobytes() == _copying_ridge_path(G.copy(), H, grid).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids, **dict(_sizes, P=st.integers(min_value=2, max_value=80)))
+def test_ridge_path_split_back_transform_is_the_copying_one_bit_for_bit(P, E, seed, grid):
+    _assert_split_path_matches_copying_path(P, E, seed, grid)
+
+
+# P = 200 and 32 channels take dormqr's blocked branch with 32 reflectors a block
+@pytest.mark.parametrize("P, E", [(200, 32), (333, 5)])
+def test_ridge_path_split_back_transform_is_the_copying_one_bit_for_bit_when_blocked(P, E):
+    _assert_split_path_matches_copying_path(P, E, seed=11, grid=make_lambda_grid(1e-2, 1e3, 10))
+
+
+def test_ridge_path_holds_one_weight_block():
+    P, E, grid = 200, 32, make_lambda_grid(1e-2, 1e3, 10)
+    A, H = _gram_problem(P, E, seed=3)
+    _solve_gram(A.T @ A, H, 1.0)  # loads scipy.linalg before any tracing
+    G = np.array(A.T @ A, order="F")
+    weight_bytes = P * len(grid) * E * 8
+
+    def every_penalty():
+        for _ in _ridge_path(G, H, grid):
+            pass
+
+    peak = _traced_peak(every_penalty) / weight_bytes
+    # measured: 2.33 blocks while the back-transform copied rows 1: of the block,
+    # 1.24 since. Beside the block sit dormqr's blocked workspace (32 columns a
+    # right-hand side, 0.16 of the block at P = 200, and its 65 x 64 T factor:
+    # 0.23 blocks in all) or, while the penalties are solved, the transformed
+    # right-hand side and one penalty's solution (0.2 blocks at 10 penalties)
+    assert peak < 1.3, f"{peak:.2f} weight blocks"
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +678,7 @@ def _summed_gram_cv_scores(segs, spec, grid, k):
     for fi, ((X_val, Y_val), (G_val, H_val)) in enumerate(zip(stacks, stats)):
         # C order: the reduction reads the upper triangle, through the transpose
         W = _ridge_path(np.ascontiguousarray(G_tot - G_val), H_tot - H_val, grid)
-        scores[:, fi] = _penalty_scores(X_val, Y_val, W)
+        scores[:, fi] = _penalty_scores(X_val, scaled_columns(Y_val), W)
     return scores
 
 
@@ -708,6 +769,26 @@ def test_closed_form_cv_memory_does_not_grow_with_fold_count():
     cross_validate(segs, spec, grid, k=2)  # loads scipy before tracing
     peaks = [_traced_peak(cross_validate, segs, spec, grid, k) / gram_bytes for k in (2, 8)]
     assert abs(peaks[0] - peaks[1]) < 1, f"{peaks[0]:.2f} and {peaks[1]:.2f} Grams at k = 2 and 8"
+
+
+def test_closed_form_cv_holds_one_fold_response_and_one_weight_block():
+    segs, spec = _segments(seed=2, n_segments=40, n=100, d=2, e=32, lags=(0, 99), density=0.02)
+    P, E, k, grid = 2 * spec.n_lags, 32, 5, make_lambda_grid(1e-2, 1e3, 10)
+    folds = np.array_split(np.arange(len(segs)), k)
+    designs = [_sparse_stack(segs, idx, spec)[0] for idx in folds]
+    design_bytes = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes for X in designs)
+    response_bytes = max(len(idx) for idx in folds) * segs.window_samples * E * 8
+    held = P * P * 8 + design_bytes + response_bytes + P * len(grid) * E * 8
+    # the fold's response is held as its scaled copy while it is scored; scoring a
+    # penalty holds three more response-sized arrays (a prediction, its scaled copy
+    # and a temporary of the scaling), and one more response's worth covers the
+    # P x E totals, one penalty's weights and the rest
+    margin = 4 * response_bytes
+    cross_validate(segs, spec, grid, k=2)  # loads scipy before tracing
+    peak = _traced_peak(cross_validate, segs, spec, grid, k)
+    # measured: 3.18 MB while every fold kept its stacked response and the
+    # back-transform copied its weight block; 1.95 MB since, under a bound of 2.03 MB
+    assert peak < held + margin, f"{peak} bytes, {(peak - held) / response_bytes:.2f} responses over"
 
 
 def test_cv_and_fit_from_its_report_hold_under_two_and_a_half_grams():

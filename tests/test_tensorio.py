@@ -563,6 +563,38 @@ def test_reading_word_events_holds_little_more_than_the_file(tmp_path, dim, boun
     assert _traced_peak(lambda: read_word_events(path)) < bound * path.stat().st_size
 
 
+def test_reading_a_recording_holds_little_more_than_the_file(tmp_path):
+    # long_story's recording: 180 s x 32 channels at 100 Hz
+    path = tmp_path / "eeg.btsr"
+    data = np.random.default_rng(9).standard_normal((32, 18_000))
+    write_eeg(path, EegRecording(data, 100.0, [f"c{j}" for j in range(32)], "s01"))
+    back = []
+    peak = _traced_peak(lambda: back.append(read_eeg(path)))
+    # measured: 2.00 files while the file was read into bytes and its values copied
+    # out; 1.13 since, the rest being the finiteness check's boolean mask
+    assert peak < 1.2 * path.stat().st_size, f"{peak / path.stat().st_size:.2f} files"
+    assert back[0].data.tobytes() == data.tobytes()
+    assert back[0].data.flags.writeable  # an array of its own, not a view of bytes
+
+
+def test_a_payload_that_shrinks_while_it_is_read_is_refused(tmp_path, monkeypatch):
+    import os
+    from types import SimpleNamespace
+
+    import trfkit.tensorio as tensorio
+
+    path = tmp_path / "t.btsr"
+    write_tensor(path, "f64", [4], {}, np.arange(4.0))
+    path.write_bytes(path.read_bytes().replace(b"[4]", b"[5]", 1))
+    # the file reports room for 5 values, but 4 are left by the time they are read
+    real = os.fstat
+    monkeypatch.setattr(
+        tensorio.os, "fstat", lambda fd: SimpleNamespace(st_size=real(fd).st_size + 8)
+    )
+    with pytest.raises(ValidationError, match="shrank while it was read"):
+        read_tensor(path)
+
+
 def test_with_vectors_holds_little_more_than_the_new_vectors():
     seq = _tagged_sequence(2000, 60)
     new = np.random.default_rng(8).standard_normal((2000, 9))
