@@ -98,6 +98,29 @@ def scaled_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, np.einsum("ij,ij->j", c, c)
 
 
+def scale_columns_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scaled_columns(a), with its bits and errors, computed in a's own memory.
+
+    a is a float64 array the caller gives up: it is overwritten and returned.
+    Beside it only per-column arrays are made, so scoring a prediction holds
+    no second copy of it.
+    """
+    if a.shape[0] < 3:
+        raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")
+    np.ldexp(a, -np.frexp(_largest_magnitudes(a))[1], out=a)
+    a -= a.mean(axis=0)
+    scale = _largest_magnitudes(a)
+    if np.any(scale == 0.0):
+        raise DegenerateDataError("correlation is undefined for a constant series")
+    a /= scale
+    return a, np.einsum("ij,ij->j", a, a)
+
+
+def _largest_magnitudes(a: np.ndarray) -> np.ndarray:
+    """np.abs(a).max(axis=0), NaN included, without the np.abs temporary."""
+    return np.maximum(a.max(axis=0), -a.min(axis=0))
+
+
 def correlate(a_scaled, b_scaled) -> np.ndarray:
     """Pearson r of each column pair of two scaled_columns results.
 

@@ -15,6 +15,7 @@ error, 4 numerical failure.
 
 import argparse
 import copy
+import gc
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -70,6 +72,7 @@ __all__ = [
     "cmd_lda",
     "cmd_inspect",
     "main",
+    "run",
 ]
 
 # Range rules, keyed by the text that error messages show.
@@ -595,5 +598,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Run main() on the command line and exit with its code: `python -m trfkit` and `trfkit`.
+
+    The collector is frozen first, so the interpreter's last collections skip
+    every object still alive, which the OS reclaims anyway. Atexit handlers,
+    the flush of stdout and stderr and module teardown run as before. main()
+    itself leaves the collector alone, for callers that stay in the process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

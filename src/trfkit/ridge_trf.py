@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._util import correlate, round_half_up, scaled_columns
+from ._util import correlate, round_half_up, scale_columns_in_place, scaled_columns
 from .errors import (
     DivergenceError,
     NumericalError,
@@ -504,8 +504,9 @@ def _penalty_scores(X_val, target, weights) -> list:
     """Mean channel r of X_val @ W_g against the held-out response for each penalty's weights W_g.
 
     target is the response's scaled_columns, so the response itself need not be kept.
+    Each prediction is scaled where it lies: scoring makes no other response-sized array.
     """
-    return [np.mean(correlate(scaled_columns(X_val @ W_g), target)) for W_g in weights]
+    return [np.mean(correlate(scale_columns_in_place(X_val @ W_g), target)) for W_g in weights]
 
 
 def cross_validate(
@@ -596,10 +597,9 @@ def cross_validate(
         _fill_lower(G, diag, X_val)
         Y_val = _stacked_response(segments, idx)
         weights = _ridge_path(G, H_tot - X_val.T @ Y_val, grid)
-        target = scaled_columns(Y_val)
-        del Y_val  # scoring needs only its scaled copy, and that only for this fold
-        scores[:, fi] = _penalty_scores(X_val, target, weights)
-        del target
+        # scoring needs the response only scaled, and only for this fold
+        scores[:, fi] = _penalty_scores(X_val, scale_columns_in_place(Y_val), weights)
+        del Y_val
     del designs, X_val  # the fold designs are not needed again
     best = pick_best_lambda(grid, scores.mean(axis=1))
     # the totals at the chosen penalty are factorised in the same lower triangle

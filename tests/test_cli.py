@@ -1,7 +1,10 @@
+import gc
+import importlib
 import json
 import math
 import os
 import re
+import runpy
 import warnings
 from pathlib import Path
 
@@ -1114,3 +1117,52 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert '"magic": "BTSR1"' in proc.stdout
+
+
+# runs `python -m trfkit` in this process and prints how it exited
+_EXIT = """
+import gc, runpy, sys
+try:
+    runpy.run_module("trfkit", run_name="__main__")
+except SystemExit as e:
+    print(e.code, gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("case, code", [("good", 0), ("malformed", 3), ("config", 2)])
+def test_module_entry_point_freezes_the_collector_before_it_exits(tmp_path, case, code):
+    import subprocess
+    import sys
+
+    good, malformed = tmp_path / "good.btsr", tmp_path / "malformed.btsr"
+    write_tensor(good, "f64", (2, 3), {}, np.zeros((2, 3)))
+    malformed.write_bytes(b"not a tensor\n")
+    argv = {
+        "good": ["inspect", str(good)],
+        "malformed": ["inspect", str(malformed)],
+        "config": ["fit", "--config", str(_write_config(tmp_path, {"folds": 1}))],
+    }[case]
+    proc = subprocess.run([sys.executable, "-c", _EXIT, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} True"
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    before = gc.get_freeze_count(), gc.isenabled()
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("inspect", str(tmp_path / "out" / "sub00_eeg.btsr")) == 0
+    assert _run("fit", "--config", str(_write_config(tmp_path, {"folds": 1}))) == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_is_the_function_the_module_entry_point_calls(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    module, _, name = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"][
+        "trfkit"
+    ].partition(":")
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: calls.append(name))
+    runpy.run_module("trfkit", run_name="__main__")
+    assert calls == [name]

@@ -779,16 +779,27 @@ def test_closed_form_cv_holds_one_fold_response_and_one_weight_block():
     design_bytes = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes for X in designs)
     response_bytes = max(len(idx) for idx in folds) * segs.window_samples * E * 8
     held = P * P * 8 + design_bytes + response_bytes + P * len(grid) * E * 8
-    # the fold's response is held as its scaled copy while it is scored; scoring a
-    # penalty holds three more response-sized arrays (a prediction, its scaled copy
-    # and a temporary of the scaling), and one more response's worth covers the
-    # P x E totals, one penalty's weights and the rest
-    margin = 4 * response_bytes
+    # the fold's response is scaled where it lies and held while it is scored;
+    # scoring a penalty holds one more response-sized array, its prediction, scaled
+    # where it lies too, and one more response's worth covers the P x E totals, one
+    # penalty's weights and the rest
+    margin = 3 * response_bytes
     cross_validate(segs, spec, grid, k=2)  # loads scipy before tracing
     peak = _traced_peak(cross_validate, segs, spec, grid, k)
     # measured: 3.18 MB while every fold kept its stacked response and the
-    # back-transform copied its weight block; 1.95 MB since, under a bound of 2.03 MB
+    # back-transform copied its weight block; 1.95 MB with the scaling's copies
+    # (3.64 responses over held); 1.61 MB since (1.96 over), under a bound of 1.82 MB
     assert peak < held + margin, f"{peak} bytes, {(peak - held) / response_bytes:.2f} responses over"
+
+
+def test_scoring_a_fold_holds_one_prediction_at_a_time():
+    segs, spec = _segments(seed=2, n_segments=8, n=100, d=2, e=32, lags=(0, 99), density=0.02)
+    X_val, Y_val = _sparse_stack(segs, range(len(segs)), spec)
+    weights = [np.random.default_rng(g).standard_normal((X_val.shape[1], 32)) for g in range(4)]
+    target = scaled_columns(Y_val)
+    peak = _traced_peak(_penalty_scores, X_val, target, weights)
+    # measured: 3.01 predictions while scaled_columns copied each one, 1.33 since
+    assert peak < 2 * Y_val.nbytes, f"{peak / Y_val.nbytes:.2f} predictions"
 
 
 def test_cv_and_fit_from_its_report_hold_under_two_and_a_half_grams():

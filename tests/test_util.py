@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from trfkit._util import round_half_up
-from trfkit.errors import PreconditionError
+from trfkit._util import round_half_up, scale_columns_in_place, scaled_columns
+from trfkit.errors import DegenerateDataError, PreconditionError, TrfkitError
 
 # finite values whose rounding any int64 sample index holds, with margin
 held = st.floats(min_value=-(2.0**62), max_value=2.0**62)
@@ -42,3 +43,41 @@ def test_values_no_sample_index_can_hold_are_refused_by_name(bad, before, after)
 
 def test_halves_round_toward_positive_infinity():
     assert [round_half_up(x, "x") for x in (-2.5, -0.5, 0.5, 2.5)] == [-2, 0, 1, 3]
+
+
+def _scaling(fn, a):
+    """The bits of fn(a), or the type and message of the error it raises."""
+    try:
+        c, sums = fn(a)
+    except TrfkitError as e:
+        return type(e), str(e)
+    return c.tobytes(), sums.tobytes()
+
+
+# columns spread over many decades, and columns that are constant
+_columns = arrays(
+    np.float64,
+    st.tuples(st.integers(0, 12), st.integers(1, 5)),
+    elements=st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@given(_columns, st.sampled_from("CF"), st.lists(st.tuples(st.integers(0, 4), st.floats(-1e9, 1e9))))
+@example(np.arange(6.0).reshape(2, 3), "C", [])  # fewer than 3 rows
+@example(np.arange(12.0).reshape(4, 3), "F", [(1, 3.0)])  # a constant column
+def test_in_place_scaling_has_the_bits_and_errors_of_scaled_columns(a, order, constants):
+    a = np.array(a, order=order)
+    for col, value in constants:
+        a[:, col % a.shape[1]] = value
+    expected = _scaling(scaled_columns, a)
+    got = _scaling(scale_columns_in_place, a)  # a is overwritten from here on
+    assert got == expected
+    if type(expected[0]) is bytes:
+        assert a.tobytes() == expected[0]  # the scaled columns are a itself
+
+
+def test_in_place_scaling_refuses_short_and_constant_columns():
+    with pytest.raises(PreconditionError, match="need at least 3 samples, got 2"):
+        scale_columns_in_place(np.ones((2, 3)))
+    with pytest.raises(DegenerateDataError, match="constant series"):
+        scale_columns_in_place(np.array([[1.0, 3.0], [2.0, 3.0], [4.0, 3.0]]))
