@@ -80,30 +80,19 @@ def pow2_scaled(a: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def scaled_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centred columns of a scaled to unit largest magnitude, and their sums of squares.
-
-    An exact power-of-two prescale keeps the column means finite, and the
-    scaling after centring keeps the sums of squares from overflowing or
-    underflowing whatever the scale of the input. Fewer than 3 rows raise
-    PreconditionError; a constant column raises DegenerateDataError.
-    """
-    if a.shape[0] < 3:
-        raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")
-    c = pow2_scaled(a)
-    c -= c.mean(axis=0)
-    scale = np.abs(c).max(axis=0)
-    if np.any(scale == 0.0):
-        raise DegenerateDataError("correlation is undefined for a constant series")
-    c /= scale
-    return c, np.einsum("ij,ij->j", c, c)
+    """scale_columns_in_place on an exact copy of a, in the float dtype np.ldexp gives a."""
+    return scale_columns_in_place(np.ldexp(a, 0))
 
 
 def scale_columns_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scaled_columns(a), with its bits and errors, computed in a's own memory.
+    """Centred columns of a scaled to unit largest magnitude, and their sums of squares.
 
-    a is a float64 array the caller gives up: it is overwritten and returned.
-    Beside it only per-column arrays are made, so scoring a prediction holds
-    no second copy of it.
+    a is a float array the caller gives up: it is overwritten and returned,
+    and beside it only per-column arrays are made. An exact power-of-two
+    prescale keeps the column means finite, and the scaling after centring
+    keeps the sums of squares from overflowing or underflowing whatever the
+    scale of the input. Fewer than 3 rows raise PreconditionError; a
+    constant column raises DegenerateDataError.
     """
     if a.shape[0] < 3:
         raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import correlate, scaled_columns
+from ._util import correlate, scale_columns_in_place, scaled_columns
 from .errors import PreconditionError, ValidationError
 from .lagged_design import LagSpec
 from .preprocess import SegmentSet
@@ -188,7 +188,8 @@ def evaluate_subject(
     X, target = _sparse_stack(test_segments, range(len(test_segments)), spec)
     pred = X @ flatten_trf(trf)
     n = pred.shape[0]
-    rs = correlate(scaled_columns(pred), scaled_columns(target))
+    # both arrays are this function's own, so each is scaled where it lies
+    rs = correlate(scale_columns_in_place(pred), scale_columns_in_place(target))
     channels = [
         ChannelScore(channel=name, r=float(r), p=r_to_p(float(r), n))
         for name, r in zip(trf.channel_names, rs)

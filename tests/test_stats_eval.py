@@ -220,6 +220,23 @@ def test_noise_lowers_scores_but_keeps_order():
     )
 
 
+@pytest.mark.parametrize("n_segments", [1, 4])
+def test_evaluate_scores_in_its_own_arrays_and_leaves_the_segments_alone(n_segments):
+    model, segs = _make_eval_setup(noise=2.0, seed=3, n_segments=n_segments)
+    before = [(seg.x.tobytes(), seg.y.tobytes()) for seg in segs.segments]
+    report = evaluate_subject(model, segs, model.lag_spec, subject_id="s")
+    assert [(seg.x.tobytes(), seg.y.tobytes()) for seg in segs.segments] == before
+    again = evaluate_subject(model, segs, model.lag_spec, subject_id="s")
+    assert [ch.r for ch in again.channels] == [ch.r for ch in report.channels]
+    target = np.concatenate([seg.y for seg in segs.segments])
+    pred = np.concatenate(
+        [build_lagged_matrix(FeatureSeries(data=seg.x, fs_hz=segs.fs_hz), model.lag_spec).data
+         for seg in segs.segments]
+    ) @ model.kernel.transpose(2, 0, 1).reshape(-1, target.shape[1])
+    for j, ch in enumerate(report.channels):
+        assert ch.r == pytest.approx(pearson_r(pred[:, j], target[:, j]), abs=1e-12)
+
+
 def test_evaluate_rejects_channel_mismatch():
     model, segs = _make_eval_setup()
     segs.channel_names[0] = "other"

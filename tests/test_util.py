@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trfkit._util import round_half_up, scale_columns_in_place, scaled_columns
+from trfkit._util import pow2_scaled, round_half_up, scale_columns_in_place, scaled_columns
 from trfkit.errors import DegenerateDataError, PreconditionError, TrfkitError
 
 # finite values whose rounding any int64 sample index holds, with margin
@@ -54,30 +54,53 @@ def _scaling(fn, a):
     return c.tobytes(), sums.tobytes()
 
 
-# columns spread over many decades, and columns that are constant
+def _reference_scaling(a):
+    """The scaling spelt out with a fresh array at each step: the bits both forms must give."""
+    if a.shape[0] < 3:
+        raise PreconditionError(f"need at least 3 samples, got {a.shape[0]}")
+    c = pow2_scaled(a)
+    c -= c.mean(axis=0)
+    scale = np.abs(c).max(axis=0)
+    if np.any(scale == 0.0):
+        raise DegenerateDataError("correlation is undefined for a constant series")
+    c /= scale
+    return c, np.einsum("ij,ij->j", c, c)
+
+
+# columns spread over the whole finite range, and columns that are constant
 _columns = arrays(
     np.float64,
     st.tuples(st.integers(0, 12), st.integers(1, 5)),
-    elements=st.floats(-1e300, 1e300, allow_nan=False),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
 @given(_columns, st.sampled_from("CF"), st.lists(st.tuples(st.integers(0, 4), st.floats(-1e9, 1e9))))
 @example(np.arange(6.0).reshape(2, 3), "C", [])  # fewer than 3 rows
 @example(np.arange(12.0).reshape(4, 3), "F", [(1, 3.0)])  # a constant column
-def test_in_place_scaling_has_the_bits_and_errors_of_scaled_columns(a, order, constants):
+@example(np.array([[1.7e308], [1.6e308], [-1e308]]), "C", [])  # a sum only the prescale keeps finite
+def test_copying_and_in_place_scaling_give_the_reference_bits_and_errors(a, order, constants):
     a = np.array(a, order=order)
     for col, value in constants:
         a[:, col % a.shape[1]] = value
-    expected = _scaling(scaled_columns, a)
-    got = _scaling(scale_columns_in_place, a)  # a is overwritten from here on
-    assert got == expected
+    given_bits = a.tobytes()
+    expected = _scaling(_reference_scaling, a)
+    assert _scaling(scaled_columns, a) == expected
+    assert a.tobytes() == given_bits  # the copying form leaves its input alone
+    assert _scaling(scale_columns_in_place, a) == expected  # a is overwritten from here on
     if type(expected[0]) is bytes:
         assert a.tobytes() == expected[0]  # the scaled columns are a itself
 
 
-def test_in_place_scaling_refuses_short_and_constant_columns():
-    with pytest.raises(PreconditionError, match="need at least 3 samples, got 2"):
-        scale_columns_in_place(np.ones((2, 3)))
-    with pytest.raises(DegenerateDataError, match="constant series"):
-        scale_columns_in_place(np.array([[1.0, 3.0], [2.0, 3.0], [4.0, 3.0]]))
+def test_scaling_refuses_short_and_constant_columns():
+    for scale in (scaled_columns, scale_columns_in_place):
+        with pytest.raises(PreconditionError, match="need at least 3 samples, got 2"):
+            scale(np.ones((2, 3)))
+        with pytest.raises(DegenerateDataError, match="constant series"):
+            scale(np.array([[1.0, 3.0], [2.0, 3.0], [4.0, 3.0]]))
+
+
+def test_copying_scaling_keeps_float32_and_scales_integers_as_float64():
+    ints = np.array([[1, -4], [2, 7], [6, 5]])
+    assert scaled_columns(ints[:, :1].astype(np.float32))[0].dtype == np.float32
+    assert _scaling(scaled_columns, ints) == _scaling(scaled_columns, ints.astype(np.float64))
