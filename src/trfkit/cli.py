@@ -21,7 +21,7 @@ import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NoReturn
@@ -276,12 +276,13 @@ def _commit_outputs(out_dir: Path, writers: list[tuple[str, object]]) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _named(prefix: str, fn, *args):
-    """fn(*args), with a trfkit error it raises prefixed by what it concerns, once."""
+@contextmanager
+def _naming(prefix: str):
+    """Prefix a trfkit error raised in the block by what it concerns, once."""
     try:
-        return fn(*args)
+        yield
     except TrfkitError as e:
-        if str(e).startswith(prefix):  # _check_heldout names its subject itself
+        if str(e).startswith(prefix):  # e.g. _check_heldout names its subject itself
             raise
         raise type(e)(prefix + str(e)) from None
 
@@ -318,9 +319,8 @@ def cmd_synth(cfg: dict) -> None:
     _commit_outputs(cfg["paths"]["output"], writers)
 
 
-def _prepare_segments(rec, words, cfg: dict) -> SegmentSet:
+def _prepare_segments(rec, words_z, cfg: dict) -> SegmentSet:
     rec_z = zscore_channels(rec)
-    words_z = zscore_features(words)
     aligned = impulse_align(words_z, rec.fs_hz, rec.n_samples)
     return segment(aligned, rec_z, cfg["window_s"], cfg["overlap"])
 
@@ -393,14 +393,25 @@ def _fit_one(recs: list, i: int, words, cfg: dict):
     }
 
 
-def _read_subjects(cfg: dict):
-    paths = cfg["paths"]
-    if not paths["eeg"]:
-        raise ConfigError("paths.eeg is empty")
-    if paths["word_events"] is None:
+def _read_words(cfg: dict):
+    """The path in paths.word_events and its word events, which need a feature column."""
+    path = cfg["paths"]["word_events"]
+    if path is None:
         raise ConfigError("paths.word_events is not set")
-    words = read_word_events(paths["word_events"])
-    recs = [read_eeg(p) for p in paths["eeg"]]
+    words = read_word_events(path)
+    if words.dim == 0:
+        raise FormatError(f"{path}: line 1: no feature columns v0, v1, ... after token/onset_s/pos")
+    return path, words
+
+
+def _read_subjects(cfg: dict):
+    """The recordings and the word events, the latter z-scored once for every subject."""
+    if not cfg["paths"]["eeg"]:
+        raise ConfigError("paths.eeg is empty")
+    path, words = _read_words(cfg)
+    with _naming(f"{path}: "):
+        words = zscore_features(words)
+    recs = [read_eeg(p) for p in cfg["paths"]["eeg"]]
     seen = set()
     for rec in recs:
         if rec.subject_id in seen:
@@ -409,23 +420,13 @@ def _read_subjects(cfg: dict):
     return recs, words
 
 
-def _map_subjects(fn, sids: list, workers: int):
-    """fn(i) for each subject index i, on `workers` threads; an error names its subject once."""
-    def named(i):
-        return _named(f"subject {sids[i]!r}: ", fn, i)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(named, range(len(sids))))
-    return [named(i) for i in range(len(sids))]
-
-
-def cmd_fit(cfg: dict, workers: int = 1) -> None:
-    """Cross-validate and fit one kernel per subject."""
+def cmd_fit(cfg: dict) -> None:
+    """Cross-validate and fit one kernel per subject, one subject after another."""
     recs, words = _read_subjects(cfg)
-    sids = [rec.subject_id for rec in recs]
-    results = _map_subjects(lambda i: _fit_one(recs, i, words, cfg), sids, workers)
     writers = []
-    for sid, (model, cv_doc) in zip(sids, results):
+    for i, sid in enumerate([rec.subject_id for rec in recs]):
+        with _naming(f"subject {sid!r}: "):
+            model, cv_doc = _fit_one(recs, i, words, cfg)
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))
         _log(f"fit {sid}: best lambda {cv_doc['best_lambda']:g} "
@@ -433,39 +434,37 @@ def cmd_fit(cfg: dict, workers: int = 1) -> None:
     _commit_outputs(cfg["paths"]["output"], writers)
 
 
-def cmd_evaluate(cfg: dict, workers: int = 1) -> None:
-    """Score fitted kernels on each subject's held-out segments."""
+def _evaluate_one(rec, model, cv_doc, words, cfg: dict):
+    """Score model on the segments of rec that fit held out, which cv_doc records."""
+    _, test = split_segments(_prepare_segments(rec, words, cfg), cfg["test_fraction"])
+    _check_heldout(rec.subject_id, cv_doc, _heldout_record(cfg, test))
+    return evaluate_subject(model, test, model.lag_spec, subject_id=rec.subject_id)
+
+
+def cmd_evaluate(cfg: dict) -> None:
+    """Score fitted kernels on each subject's held-out segments, one subject after another."""
     out_dir, layout_path = cfg["paths"]["output"], cfg["paths"]["layout"]
     if layout_path is None:
         raise ConfigError("paths.layout is not set")
     layout = read_channel_layout(layout_path)
     recs, words = _read_subjects(cfg)
-    fits = []
+    reports, writers = [], []
     for rec in recs:
-        paths = [out_dir / f"{rec.subject_id}_{kind}" for kind in ("trf.btsr", "cv.json")]
+        sid = rec.subject_id
+        paths = [out_dir / f"{sid}_{kind}" for kind in ("trf.btsr", "cv.json")]
         for path in paths:
             if not path.exists():
-                raise ValidationError(
-                    f"no fit output for subject {rec.subject_id!r} (expected {path})"
-                )
-        fits.append((read_trf(paths[0]), read_json(paths[1])))
-
-    def evaluate_one(i):
-        rec, (model, cv_doc) = recs[i], fits[i]
-        segs = _prepare_segments(rec, words, cfg)
-        _, test = split_segments(segs, cfg["test_fraction"])
-        _check_heldout(rec.subject_id, cv_doc, _heldout_record(cfg, test))
-        return evaluate_subject(model, test, model.lag_spec, subject_id=rec.subject_id)
-
-    reports = _map_subjects(evaluate_one, [rec.subject_id for rec in recs], workers)
-    group = group_report(reports)
-    writers = []
-    for report in reports:
-        sid = report.subject_id
-        rows = _named(f"{layout_path}: ", topo_report, report, layout)
+                raise ValidationError(f"no fit output for subject {sid!r} (expected {path})")
+        model, cv_doc = read_trf(paths[0]), read_json(paths[1])
+        with _naming(f"subject {sid!r}: "):
+            report = _evaluate_one(rec, model, cv_doc, words, cfg)
+        with _naming(f"{layout_path}: "):
+            rows = topo_report(report, layout)
+        reports.append(report)
         writers.append((f"{sid}_eval.json", lambda p, d=report.to_json(): write_json(p, d)))
         writers.append((f"{sid}_topo.csv", lambda p, r=rows: write_topo_csv(p, r)))
         _log(f"evaluate {sid}: mean r {report.mean_r:.4f} over {report.n_samples} samples")
+    group = group_report(reports)
     writers.append(("group_eval.json", lambda p, d=group.to_json(): write_json(p, d)))
     _log(f"group: pooled r {group.pooled_r:.4f}, fisher p {group.fisher_p:.3g}")
     _commit_outputs(out_dir, writers)
@@ -475,17 +474,14 @@ def cmd_lda(cfg: dict) -> None:
     """Reduce word vectors to discriminant space; write a reduced TSV."""
     if not cfg["lda"]["enabled"]:
         raise ConfigError("lda.enabled is false; enable it to run the lda command")
-    path = cfg["paths"]["word_events"]
-    if path is None:
-        raise ConfigError("paths.word_events is not set")
-    words = read_word_events(path)
+    path, words = _read_words(cfg)
     untagged = np.flatnonzero(np.equal(np.array(words.tags, dtype=object), None))
     if untagged.size:
         shown = ", ".join(f"row {k + 2} ({words.tokens[k]!r})" for k in untagged[:10])
         more = "" if untagged.size <= 10 else f" and {untagged.size - 10} more"
         raise ValidationError(f"{path}: word events without a POS tag: {shown}{more}")
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise"), _naming(f"{path}: "):  # e.g. a tag that too few rows carry
             model = fit_lda(words.vectors(), words.tags, cfg["lda"]["n_components"])
             projected = transform(model, words.vectors())
             scores = separation_report(model, words.vectors(), words.tags)
@@ -493,8 +489,6 @@ def cmd_lda(cfg: dict) -> None:
         raise NumericalError(
             f"{path}: its vectors are too large for the discriminant reduction ({e})"
         ) from None
-    except TrfkitError as e:  # e.g. a tag that too few rows carry
-        raise type(e)(f"{path}: {e}") from None
     if model.clamped:
         _log(
             f"lda: clamped from {model.requested_components} to "
@@ -545,7 +539,8 @@ def _add_config_flags(sub: argparse.ArgumentParser, workers: bool = False) -> No
     )
     if workers:
         sub.add_argument(
-            "--workers", type=int, default=1, help="subjects processed in parallel"
+            "--workers", type=int, default=1,
+            help="accepted and checked (>= 1) but changes nothing: subjects run one after another",
         )
 
 
@@ -571,16 +566,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "inspect":
             return cmd_inspect(args.files)
-        workers = getattr(args, "workers", 1)
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config, sets=args.set, seed=args.seed, output=args.output)
         if args.command == "synth":
             cmd_synth(cfg)
         elif args.command == "fit":
-            cmd_fit(cfg, workers)
+            cmd_fit(cfg)
         elif args.command == "evaluate":
-            cmd_evaluate(cfg, workers)
+            cmd_evaluate(cfg)
         elif args.command == "lda":
             cmd_lda(cfg)
         return 0

@@ -95,9 +95,10 @@ class EegRecording:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
+        if self.data.ndim != 2 or self.data.shape[0] == 0:
             raise ValidationError(
-                f"EEG data must be 2-D (channels x samples), got ndim={self.data.ndim}"
+                "EEG data must be 2-D (channels x samples) with at least one channel, "
+                f"got shape {self.data.shape}"
             )
         if not (self.fs_hz > 0):
             raise ValidationError(f"fs_hz must be positive, got {self.fs_hz}")

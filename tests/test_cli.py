@@ -624,7 +624,10 @@ _LDA = (
         ),
         # scipy is loaded on first use, so a command loads only the scipy it calls
         pytest.param((), _loaded_after("import trfkit", ("scipy",)), id="package"),
-        pytest.param((), _loaded_after("import trfkit.cli", ("scipy",)), id="cli"),
+        # concurrent.futures, as no subject runs on a thread pool
+        pytest.param(
+            (), _loaded_after("import trfkit.cli", ("scipy", "concurrent.futures")), id="cli"
+        ),
         pytest.param(
             (),
             _loaded_after(
@@ -636,7 +639,9 @@ _LDA = (
         ),
         pytest.param(
             (),
-            _loaded_after(_MAIN.format("['synth', '--config', sys.argv[1]]"), ("scipy",)),
+            _loaded_after(
+                _MAIN.format("['synth', '--config', sys.argv[1]]"), ("scipy", "concurrent.futures")
+            ),
             id="synth",
         ),
         pytest.param(
@@ -656,7 +661,7 @@ _LDA = (
             ),
             id="evaluate",
         ),
-        pytest.param((), _loaded_after(_LDA, ("scipy",)), id="lda"),
+        pytest.param((), _loaded_after(_LDA, ("scipy", "concurrent.futures")), id="lda"),
     ],
 )
 def test_scipy_stays_unloaded_until_used(tmp_path, before, code):
@@ -718,6 +723,56 @@ def test_recording_shape_numpy_cannot_hold_exits_2_with_one_error_line(tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "sub00_eeg.btsr" in err[0] and str([0, 2**62]) in err[0]
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_recording_with_no_channels_exits_2_with_one_error_line(tmp_path, capsys, command):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config)) == 0
+    out, eeg = tmp_path / "out", tmp_path / "out" / "sub00_eeg.btsr"
+    tf = read_tensor(eeg)
+    write_tensor(eeg, "f64", [0, tf.shape[1]], {**tf.meta, "channel_names": []}, np.zeros(0))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert _run(command, "--config", str(config)) == 2
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: {eeg}: ") and "at least one channel" in line
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_word_feature_of_zero_variance_is_named_by_the_word_file_not_a_subject(
+    tmp_path, capsys, command
+):
+    config = _write_config(tmp_path, {"synth.n_subjects": 2,
+                                      "paths.eeg": ["out/sub00_eeg.btsr", "out/sub01_eeg.btsr"]})
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config)) == 0
+    words = tmp_path / "out" / "words.tsv"
+    header, *rows = words.read_text(encoding="utf-8").splitlines()
+    rows = ["\t".join(row.split("\t")[:4] + ["0.5"] + row.split("\t")[5:]) for row in rows]
+    words.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _run(command, "--config", str(config)) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {words}: feature dimension(s) with zero variance: 1"
+    )
+
+
+@pytest.mark.parametrize("command", ["fit", "lda"])
+def test_word_events_without_feature_columns_exit_3_with_one_error_line(tmp_path, capsys, command):
+    config = _write_config(tmp_path, {"lda": {"enabled": True, "n_components": 2}})
+    assert _run("synth", "--config", str(config)) == 0
+    out, words = tmp_path / "out", tmp_path / "out" / "words.tsv"
+    # tagged rows, so that lda would get past its check for untagged rows
+    rows = "".join(f"w{k}\t{k / 4}\t{'AB'[k % 2]}\n" for k in range(40))
+    words.write_text("token\tonset_s\tpos\n" + rows, encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert _run(command, "--config", str(config)) == 3
+    assert _one_error_line(capsys).startswith(f"error: {words}: line 1: ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def _last_onset_huge(out):
