@@ -1,19 +1,36 @@
 """Small internal helpers, and the one table of JSON kinds that config and BTSR readers share."""
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from .errors import DegenerateDataError, FormatError, NumericalError, PreconditionError
+from .errors import DegenerateDataError, FormatError, NumericalError, PreconditionError, TrfkitError
 
 
-def decode_utf8(raw: bytes, path, offset: int = 0) -> str:
-    """raw decoded as UTF-8; a bad byte raises FormatError naming path and its file offset.
+@contextmanager
+def naming(prefix: str):
+    """Prefix a trfkit error raised in the block by what it concerns, once.
+
+    The error is raised again as the same type. One whose message already
+    starts with prefix, as from a nested block of the same name, passes as it is.
+    """
+    try:
+        yield
+    except TrfkitError as e:
+        if str(e).startswith(prefix):
+            raise
+        raise type(e)(prefix + str(e)) from None
+
+
+def decode_utf8(raw: bytes, offset: int = 0) -> str:
+    """raw decoded as UTF-8; a bad byte raises FormatError naming its file offset.
 
     `offset` is the file position of raw's first byte.
     """
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 at byte offset {offset + e.start}") from None
+        raise FormatError(f"not UTF-8 at byte offset {offset + e.start}") from None
 
 
 def round_half_up(x, what):

@@ -21,14 +21,13 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from ._util import JSON_KINDS, decode_utf8, round_half_up
+from ._util import JSON_KINDS, decode_utf8, naming, round_half_up
 from .errors import (
     ConfigError,
     FormatError,
@@ -221,12 +220,13 @@ def load_config(
         raw = config_path.read_bytes()
     except OSError as e:
         raise ConfigError(f"cannot read config {config_path}: {e}") from None
-    try:
-        user_cfg = json.loads(decode_utf8(raw, config_path))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{config_path}: malformed JSON at offset {e.pos}: {e.msg}") from None
-    if not isinstance(user_cfg, dict):
-        raise ConfigError(f"{config_path}: config must be a JSON object")
+    with naming(f"{config_path}: "):
+        try:
+            user_cfg = json.loads(decode_utf8(raw))
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"malformed JSON at offset {e.pos}: {e.msg}") from None
+        if not isinstance(user_cfg, dict):
+            raise ConfigError("config must be a JSON object")
 
     cfg = _merge(DEFAULT_CONFIG, user_cfg)
     for assignment in sets or []:
@@ -276,17 +276,6 @@ def _commit_outputs(out_dir: Path, writers: list[tuple[str, object]]) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-@contextmanager
-def _naming(prefix: str):
-    """Prefix a trfkit error raised in the block by what it concerns, once."""
-    try:
-        yield
-    except TrfkitError as e:
-        if str(e).startswith(prefix):  # e.g. _check_heldout names its subject itself
-            raise
-        raise type(e)(prefix + str(e)) from None
-
-
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -297,9 +286,7 @@ def _log(message: str) -> None:
 
 def cmd_synth(cfg: dict) -> None:
     """Generate synthetic subjects sharing one word stream."""
-    synth_fields = dict(cfg["synth"])
-    n_subjects = synth_fields.pop("n_subjects")
-    base_spec = SynthSpec(**synth_fields, **cfg["lags"], seed=cfg["seed"])
+    base_spec = SynthSpec(**cfg["synth"], **cfg["lags"], seed=cfg["seed"])
     words = gen_words(base_spec)
     layout = circle_layout(base_spec.channel_names())
 
@@ -307,7 +294,7 @@ def cmd_synth(cfg: dict) -> None:
         ("words.tsv", lambda p, w=words: write_word_events(p, w)),
         ("layout.csv", lambda p, l=layout: write_channel_layout(p, l)),
     ]
-    for s in range(n_subjects):
+    for s in range(base_spec.n_subjects):
         sid = f"sub{s:02d}"
         spec_s = replace(base_spec, seed=cfg["seed"] + s)
         kernel = gen_kernel(spec_s)
@@ -409,14 +396,17 @@ def _read_subjects(cfg: dict):
     if not cfg["paths"]["eeg"]:
         raise ConfigError("paths.eeg is empty")
     path, words = _read_words(cfg)
-    with _naming(f"{path}: "):
+    with naming(f"{path}: "):
         words = zscore_features(words)
     recs = [read_eeg(p) for p in cfg["paths"]["eeg"]]
-    seen = set()
-    for rec in recs:
+    seen = {}
+    for path, rec in zip(cfg["paths"]["eeg"], recs):
         if rec.subject_id in seen:
-            raise ValidationError(f"duplicate subject id {rec.subject_id!r} across EEG files")
-        seen.add(rec.subject_id)
+            raise ValidationError(
+                f"duplicate subject id {rec.subject_id!r} across EEG files "
+                f"{seen[rec.subject_id]} and {path}"
+            )
+        seen[rec.subject_id] = path
     return recs, words
 
 
@@ -425,7 +415,7 @@ def cmd_fit(cfg: dict) -> None:
     recs, words = _read_subjects(cfg)
     writers = []
     for i, sid in enumerate([rec.subject_id for rec in recs]):
-        with _naming(f"subject {sid!r}: "):
+        with naming(f"subject {sid!r}: "):
             model, cv_doc = _fit_one(recs, i, words, cfg)
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))
@@ -456,9 +446,9 @@ def cmd_evaluate(cfg: dict) -> None:
             if not path.exists():
                 raise ValidationError(f"no fit output for subject {sid!r} (expected {path})")
         model, cv_doc = read_trf(paths[0]), read_json(paths[1])
-        with _naming(f"subject {sid!r}: "):
+        with naming(f"subject {sid!r}: "):
             report = _evaluate_one(rec, model, cv_doc, words, cfg)
-        with _naming(f"{layout_path}: "):
+        with naming(f"{layout_path}: "):
             rows = topo_report(report, layout)
         reports.append(report)
         writers.append((f"{sid}_eval.json", lambda p, d=report.to_json(): write_json(p, d)))
@@ -481,7 +471,7 @@ def cmd_lda(cfg: dict) -> None:
         more = "" if untagged.size <= 10 else f" and {untagged.size - 10} more"
         raise ValidationError(f"{path}: word events without a POS tag: {shown}{more}")
     try:
-        with np.errstate(over="raise"), _naming(f"{path}: "):  # e.g. a tag that too few rows carry
+        with np.errstate(over="raise"), naming(f"{path}: "):  # e.g. a tag that too few rows carry
             model = fit_lda(words.vectors(), words.tags, cfg["lda"]["n_components"])
             projected = transform(model, words.vectors())
             scores = separation_report(model, words.vectors(), words.tags)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from ._util import naming
+from .errors import PreconditionError
 from .tensorio import _read_checked, write_tensor
 
 __all__ = [
@@ -276,7 +277,5 @@ def read_lda(path) -> LdaModel:
         "class_labels": "str list", "eigenvalues": "float list", "class_means": "float rows",
         "n_components": "int", "requested_components": "int",
     })
-    try:
+    with naming(f"{path}: "):
         return LdaModel(projection=projection, **meta)
-    except PreconditionError as e:
-        raise ValidationError(f"{path}: {e}") from None

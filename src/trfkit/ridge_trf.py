@@ -40,7 +40,9 @@ penalty costs one O(P) tridiagonal solve (Golub & Van Loan, Matrix
 Computations, 4th ed., section 8.3.1).
 
 A design may be at most MAX_DESIGN_COLUMNS columns wide, so that no fit
-asks for a Gram that no memory holds.
+asks for a Gram that no memory holds. For the same reason a grid has at
+most MAX_LAMBDA_POINTS penalties, and cross-validation's block of every
+penalty's weights holds no more values than the largest Gram.
 """
 
 import math
@@ -49,7 +51,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._util import correlate, round_half_up, scale_columns_in_place, scaled_columns
+from ._util import correlate, naming, round_half_up, scale_columns_in_place, scaled_columns
 from .errors import (
     DivergenceError,
     NumericalError,
@@ -85,6 +87,8 @@ KERNEL_UNITS = "arbitrary (z-scored response per z-scored feature)"
 # cross_validate and fit_trf refuse a wider design before they build it: its
 # P x P Gram would take 2 GiB
 MAX_DESIGN_COLUMNS = 16_384
+# make_lambda_grid refuses more penalties than this before it lists them
+MAX_LAMBDA_POINTS = 10_000_000
 _GRAM_BLOCK = 64  # columns per block of a Gram product
 
 
@@ -170,6 +174,8 @@ def make_lambda_grid(lo: float, hi: float, n: int) -> list[float]:
         raise PreconditionError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
     if n < 2:
         raise PreconditionError(f"need at least 2 grid points, got {n}")
+    if n > MAX_LAMBDA_POINTS:
+        raise PreconditionError(f"{n} grid points are more than the {MAX_LAMBDA_POINTS} allowed")
     vals = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), n))
     vals[0] = lo
     vals[-1] = hi
@@ -557,6 +563,13 @@ def cross_validate(
         _check_penalty(g, "lambda grid entry")
     if solver not in ("closed_form", "iterative"):
         raise PreconditionError(f"unknown solver {solver!r}")
+    P, E = segments.n_features * spec.n_lags, segments.n_channels
+    if P * len(grid) * E > MAX_DESIGN_COLUMNS**2:  # every penalty's weights are held at once
+        raise PreconditionError(
+            f"{len(grid)} penalties x {E} channels x P = {P} design columns make a "
+            f"{P * len(grid) * E * 8 / 2**30:.1f} GiB block of weights; at most "
+            f"{MAX_DESIGN_COLUMNS**2 * 8 / 2**30:g} GiB, the largest Gram's size, is allowed"
+        )
 
     folds = np.array_split(np.arange(n), k)
     fold_assignment = [fi for fi, idx in enumerate(folds) for _ in idx]
@@ -581,7 +594,6 @@ def cross_validate(
     # as sum() would; from then on G's strict upper triangle and diag hold the
     # Gram totals. Only the designs are kept: a fold's response is concatenated
     # again when the fold is scored, and its X^T Y is the same product again.
-    P = segments.n_features * spec.n_lags
     G = np.zeros((P, P), order="F")
     H_tot = 0
     designs = []
@@ -707,19 +719,19 @@ def read_trf(path) -> TrfModel:
         "fs_hz": "float", "units": "str",
     })
     fs = meta["fs_hz"]
-    if not fs > 0:
-        raise ValidationError(f"{path}: fs_hz must be positive, got {fs}")
-    try:
-        lag_samples = [round_half_up(t * fs, "lag time") for t in meta["lag_times_s"]]
-    except PreconditionError:  # a lag time that no sample index can hold
-        lag_samples = []
-    if not lag_samples or lag_samples != list(
-        range(lag_samples[0], lag_samples[0] + len(lag_samples))
-    ):
-        raise ValidationError(f"{path}: lag times do not form a contiguous range at fs={fs}")
-    tmin = lag_samples[0] / fs
-    tmax = lag_samples[-1] / fs if len(lag_samples) > 1 else tmin + 0.25 / fs
-    try:
+    with naming(f"{path}: "):
+        if not fs > 0:
+            raise ValidationError(f"fs_hz must be positive, got {fs}")
+        try:
+            lag_samples = [round_half_up(t * fs, "lag time") for t in meta["lag_times_s"]]
+        except PreconditionError:  # a lag time that no sample index can hold
+            lag_samples = []
+        if not lag_samples or lag_samples != list(
+            range(lag_samples[0], lag_samples[0] + len(lag_samples))
+        ):
+            raise ValidationError(f"lag times do not form a contiguous range at fs={fs}")
+        tmin = lag_samples[0] / fs
+        tmax = lag_samples[-1] / fs if len(lag_samples) > 1 else tmin + 0.25 / fs
         spec = LagSpec(tmin_s=tmin, tmax_s=tmax, fs_hz=fs, lag_samples=lag_samples)
         return TrfModel(
             kernel=kernel,
@@ -728,5 +740,3 @@ def read_trf(path) -> TrfModel:
             lam=meta["lambda"],
             units=meta["units"],
         )
-    except PreconditionError as e:
-        raise ValidationError(f"{path}: {e}") from None

@@ -40,6 +40,9 @@ __all__ = [
 
 # gen_words draws words one at a time; a spec expecting more than this is refused
 MAX_SYNTH_WORDS = 1_000_000
+# a spec whose subjects' kernels and recordings and shared word vectors hold more
+# float64 values than this (800 MB) is refused before any is drawn
+MAX_SYNTH_VALUES = 100_000_000
 
 # sub-stream tags so kernel, word and noise draws never overlap
 _KERNEL_STREAM = 1
@@ -49,7 +52,11 @@ _NOISE_STREAM = 3
 
 @dataclass
 class SynthSpec:
-    """Parameters of one synthetic subject."""
+    """Parameters of n_subjects synthetic subjects that share one word stream.
+
+    gen_words makes the stream; gen_kernel and gen_response make one subject's part of the
+    rest, whatever n_subjects is.
+    """
 
     fs_hz: float = 100.0
     duration_s: float = 300.0
@@ -60,6 +67,7 @@ class SynthSpec:
     word_rate_hz: float = 2.0
     snr: float = 5.0
     seed: int = 0
+    n_subjects: int = 1
 
     def __post_init__(self):
         for name in ("fs_hz", "duration_s", "word_rate_hz"):
@@ -70,15 +78,27 @@ class SynthSpec:
                 f"need at least one channel and one feature, got "
                 f"{self.n_channels} channels / {self.n_features} features"
             )
-        self.lag_spec()  # checks the lag window
+        n_lags = self.lag_spec().n_lags  # checks the lag window
         if not (self.snr > 0):
             raise PreconditionError(f"snr must be positive, got {self.snr}")
-        self.n_samples  # checks that a sample index can hold the duration
+        n_samples = self.n_samples  # checks that a sample index can hold the duration
         expected = self.duration_s * self.word_rate_hz
         if not 10 <= expected <= MAX_SYNTH_WORDS:
             raise PreconditionError(
                 f"duration_s={self.duration_s} at word_rate_hz={self.word_rate_hz} expects "
                 f"{expected:.3g} words; from 10 to {MAX_SYNTH_WORDS} are allowed"
+            )
+        values = (
+            self.n_subjects * self.n_channels * (n_samples + n_lags * self.n_features)
+            + expected * self.n_features
+        )
+        if values > MAX_SYNTH_VALUES:
+            raise PreconditionError(
+                f"n_subjects={self.n_subjects} x n_channels={self.n_channels} x "
+                f"({n_samples} samples of duration_s={self.duration_s} at "
+                f"fs_hz={self.fs_hz} + {n_lags} lags x n_features={self.n_features}), plus "
+                f"{expected:.3g} words x n_features, make {values:.3g} values; at most "
+                f"{MAX_SYNTH_VALUES} are allowed"
             )
 
     @property

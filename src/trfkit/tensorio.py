@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import JSON_KINDS, decode_utf8, round_half_up
+from ._util import JSON_KINDS, decode_utf8, naming, round_half_up
 from .errors import FormatError, ValidationError
 
 __all__ = [
@@ -270,55 +270,47 @@ class ChannelLayout:
 # BTSR container
 
 
-def _parse_header(raw: bytes, path) -> tuple[dict, int]:
+def _parse_header(raw: bytes) -> tuple[dict, int]:
     """Return (header dict, payload offset) or raise FormatError."""
     nl = raw.find(b"\n", 0, _HEADER_LIMIT)
     if nl < 0:
         raise FormatError(
-            f"{path}: no header terminator within the first "
+            f"no header terminator within the first "
             f"{min(len(raw), _HEADER_LIMIT)} bytes (byte offset {min(len(raw), _HEADER_LIMIT)})"
         )
     try:
-        header = json.loads(decode_utf8(raw[:nl], path))
+        header = json.loads(decode_utf8(raw[:nl]))
     except json.JSONDecodeError as e:
-        raise FormatError(
-            f"{path}: malformed header JSON at byte offset {e.pos}: {e.msg}"
-        ) from None
+        raise FormatError(f"malformed header JSON at byte offset {e.pos}: {e.msg}") from None
     if not isinstance(header, dict):
-        raise FormatError(f"{path}: header at byte offset 0 is not a JSON object")
+        raise FormatError("header at byte offset 0 is not a JSON object")
     if header.get("magic") != MAGIC:
-        raise FormatError(
-            f"{path}: bad magic {header.get('magic')!r} at byte offset 0, expected {MAGIC!r}"
-        )
+        raise FormatError(f"bad magic {header.get('magic')!r} at byte offset 0, expected {MAGIC!r}")
     return header, nl + 1
 
 
 def read_tensor_header(path) -> dict:
     """Read and validate only the JSON header line of a BTSR file."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER_LIMIT)
-    header, _ = _parse_header(raw, path)
-    return header
+    with open(path, "rb") as fh, naming(f"{path}: "):
+        return _parse_header(fh.read(_HEADER_LIMIT))[0]
 
 
 def read_tensor(path) -> TensorFile:
     """Read a BTSR file; its values are read straight from the file into one owned array."""
-    with open(path, "rb") as fh:
-        header, offset = _parse_header(fh.readline(_HEADER_LIMIT), path)
+    with open(path, "rb") as fh, naming(f"{path}: "):
+        header, offset = _parse_header(fh.readline(_HEADER_LIMIT))
         dtype_tag = header.get("dtype")
         if not isinstance(dtype_tag, str) or dtype_tag not in _DTYPES:
-            raise FormatError(f"{path}: unknown dtype tag {dtype_tag!r}")
+            raise FormatError(f"unknown dtype tag {dtype_tag!r}")
         shape = header.get("shape")
         if (
             not isinstance(shape, list)
             or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)
         ):
-            raise ValidationError(
-                f"{path}: shape must be a list of nonnegative integers, got {shape!r}"
-            )
+            raise ValidationError(f"shape must be a list of nonnegative integers, got {shape!r}")
         meta = header.get("meta")
         if not isinstance(meta, dict):
-            raise ValidationError(f"{path}: meta must be a JSON object, got {type(meta).__name__}")
+            raise ValidationError(f"meta must be a JSON object, got {type(meta).__name__}")
 
         np_dtype = _DTYPES[dtype_tag]
         count = math.prod(shape)
@@ -326,16 +318,16 @@ def read_tensor(path) -> TensorFile:
         n_bytes = os.fstat(fh.fileno()).st_size - offset
         if n_bytes != expected:
             raise ValidationError(
-                f"{path}: payload holds {n_bytes // np_dtype.itemsize} values "
+                f"payload holds {n_bytes // np_dtype.itemsize} values "
                 f"({n_bytes} bytes) but shape {shape} requires {count}"
             )
         values = np.empty(count, dtype=np_dtype)
         if fh.readinto(values.view(np.uint8)) != n_bytes:
-            raise ValidationError(f"{path}: the payload shrank while it was read")
-    try:  # a zero entry lets a huge one past the size check; the view is discarded
-        values.reshape(shape)
-    except ValueError:
-        raise ValidationError(f"{path}: numpy cannot hold an array of shape {shape}") from None
+            raise ValidationError("the payload shrank while it was read")
+        try:  # a zero entry lets a huge one past the size check; the view is discarded
+            values.reshape(shape)
+        except ValueError:
+            raise ValidationError(f"numpy cannot hold an array of shape {shape}") from None
     return TensorFile(dtype=dtype_tag, shape=list(shape), meta=meta, values=values)
 
 
@@ -363,15 +355,16 @@ def _read_checked(path, rank: int, kinds: dict[str, str]) -> tuple[np.ndarray, d
     a missing key or a value of the wrong kind raises ValidationError.
     """
     tf = read_tensor(path)
-    if len(tf.shape) != rank:
-        raise ValidationError(f"{path}: expected a {rank}-D tensor, got shape {tf.shape}")
-    meta = {}
-    for key, kind in kinds.items():
-        kind_text, convert = JSON_KINDS[kind]
-        meta[key] = convert(tf.meta.get(key))  # every kind rejects None
-        if meta[key] is None:
-            got = json.dumps(tf.meta[key]) if key in tf.meta else "nothing: the key is missing"
-            raise ValidationError(f"{path}: meta key {key!r} must be {kind_text}, got {got}")
+    with naming(f"{path}: "):
+        if len(tf.shape) != rank:
+            raise ValidationError(f"expected a {rank}-D tensor, got shape {tf.shape}")
+        meta = {}
+        for key, kind in kinds.items():
+            kind_text, convert = JSON_KINDS[kind]
+            meta[key] = convert(tf.meta.get(key))  # every kind rejects None
+            if meta[key] is None:
+                got = json.dumps(tf.meta[key]) if key in tf.meta else "nothing: the key is missing"
+                raise ValidationError(f"meta key {key!r} must be {kind_text}, got {got}")
     return tf.tensor(), meta
 
 
@@ -392,10 +385,8 @@ def read_eeg(path) -> EegRecording:
     data, meta = _read_checked(path, 2, {
         "fs_hz": "float", "channel_names": "str list", "subject_id": "str",
     })
-    try:
+    with naming(f"{path}: "):
         return EegRecording(data=data, **meta)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +417,11 @@ def write_word_events(path, seq: WordEventSequence) -> None:
         fh.writelines(lines)
 
 
-def _lines(fh, path):
+def _lines(fh):
     """The lines of a binary file split at LF alone, each decoded from UTF-8 without its LF."""
     offset = 0
     for raw in fh:
-        yield decode_utf8(raw.removesuffix(b"\n"), path, offset)
+        yield decode_utf8(raw.removesuffix(b"\n"), offset)
         offset += len(raw)
 
 
@@ -442,21 +433,17 @@ def read_word_events(path) -> WordEventSequence:
     as they are met, so the first in file order is the one reported; the
     rules of WordEventSequence are checked once, after the last row.
     """
-    with open(path, "rb") as fh:
-        lines = _lines(fh, path)
+    with open(path, "rb") as fh, naming(f"{path}: "):
+        lines = _lines(fh)
         header = next(lines, None)
         if header is None:
-            raise FormatError(f"{path}: empty file, expected a header line")
+            raise FormatError("empty file, expected a header line")
         header = header.split("\t")
         if header[:3] != ["token", "onset_s", "pos"]:
-            raise FormatError(
-                f"{path}: line 1: header must start with token/onset_s/pos, got {header[:3]}"
-            )
+            raise FormatError(f"line 1: header must start with token/onset_s/pos, got {header[:3]}")
         dim = len(header) - 3
         if header[3:] != [f"v{i}" for i in range(dim)]:
-            raise FormatError(
-                f"{path}: line 1: feature columns must be v0..v{dim - 1}, got {header[3:]}"
-            )
+            raise FormatError(f"line 1: feature columns must be v0..v{dim - 1}, got {header[3:]}")
 
         tokens, onsets, tags = [], [], []
         tag_of = {"": None}  # one string per distinct tag
@@ -464,29 +451,21 @@ def read_word_events(path) -> WordEventSequence:
         for lineno, line in enumerate(lines, start=2):
             fields = line.split("\t")
             if len(fields) != 3 + dim:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {3 + dim} fields, got {len(fields)}"
-                )
+                raise FormatError(f"line {lineno}: expected {3 + dim} fields, got {len(fields)}")
             try:
                 onsets.append(float(fields[1]))
             except ValueError:
-                raise FormatError(
-                    f"{path}: line {lineno}: onset_s {fields[1]!r} is not a number"
-                ) from None
+                raise FormatError(f"line {lineno}: onset_s {fields[1]!r} is not a number") from None
             if len(tokens) == len(vectors):
                 vectors.resize((2 * len(tokens), dim), refcheck=False)  # no view of it exists
             try:  # numpy's str -> float64 cast accepts exactly what float() does
                 vectors[len(tokens)] = fields[3:]
             except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric feature value") from None
+                raise FormatError(f"line {lineno}: non-numeric feature value") from None
             tokens.append(fields[0])
             tags.append(tag_of.setdefault(fields[2], fields[2]))
-    vectors.resize((len(tokens), dim), refcheck=False)
-
-    try:
+        vectors.resize((len(tokens), dim), refcheck=False)
         return WordEventSequence._of_columns(tokens, np.array(onsets), tags, vectors)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -503,29 +482,25 @@ def write_channel_layout(path, layout: ChannelLayout) -> None:
 
 
 def read_channel_layout(path) -> ChannelLayout:
-    with open(path, "rb") as fh:
-        text = decode_utf8(fh.read(), path)
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows:
-        raise FormatError(f"{path}: empty file, expected a header line")
-    if rows[0] != ["name", "x", "y"]:
-        raise FormatError(f"{path}: line 1: header must be name,x,y, got {rows[0]}")
-    entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-        name, xs, ys = row
-        try:
-            x, y = float(xs), float(ys)
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-numeric coordinate") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(f"{path}: line {lineno}: channel {name!r}: non-finite coordinate")
-        entries.append(LayoutEntry(name=name, x=x, y=y))
-    try:
+    with open(path, "rb") as fh, naming(f"{path}: "):
+        rows = list(csv.reader(io.StringIO(decode_utf8(fh.read()), newline="")))
+        if not rows:
+            raise FormatError("empty file, expected a header line")
+        if rows[0] != ["name", "x", "y"]:
+            raise FormatError(f"line 1: header must be name,x,y, got {rows[0]}")
+        entries = []
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != 3:
+                raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            name, xs, ys = row
+            try:
+                x, y = float(xs), float(ys)
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-numeric coordinate") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValidationError(f"line {lineno}: channel {name!r}: non-finite coordinate")
+            entries.append(LayoutEntry(name=name, x=x, y=y))
         return ChannelLayout(entries=entries)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +509,11 @@ def read_channel_layout(path) -> ChannelLayout:
 
 def read_json(path):
     """Read a report document; malformed JSON raises FormatError."""
-    with open(path, "rb") as fh:
-        text = decode_utf8(fh.read(), path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: malformed JSON at offset {e.pos}: {e.msg}") from None
+    with open(path, "rb") as fh, naming(f"{path}: "):
+        try:
+            return json.loads(decode_utf8(fh.read()))
+        except json.JSONDecodeError as e:
+            raise FormatError(f"malformed JSON at offset {e.pos}: {e.msg}") from None
 
 
 def write_json(path, obj) -> None:

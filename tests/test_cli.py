@@ -760,6 +760,25 @@ def test_word_feature_of_zero_variance_is_named_by_the_word_file_not_a_subject(
     )
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_two_eeg_files_of_one_subject_exit_2_naming_both_and_write_nothing(
+    tmp_path, capsys, command
+):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config)) == 0
+    first, again = tmp_path / "out" / "sub00_eeg.btsr", tmp_path / "again_eeg.btsr"
+    again.write_bytes(first.read_bytes())
+    config = _write_config(tmp_path, {"paths.eeg": ["out/sub00_eeg.btsr", "again_eeg.btsr"]})
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert _run(command, "--config", str(config)) == 2
+    line = _one_error_line(capsys)
+    assert line.startswith("error: duplicate subject id 'sub00'")
+    assert str(first) in line and str(again) in line
+    assert _files(tmp_path) == before
+
+
 @pytest.mark.parametrize("command", ["fit", "lda"])
 def test_word_events_without_feature_columns_exit_3_with_one_error_line(tmp_path, capsys, command):
     config = _write_config(tmp_path, {"lda": {"enabled": True, "n_components": 2}})
@@ -936,8 +955,23 @@ def _child_peak_rss(argv, timeout_s=300.0):
         ("fit", "lags.tmax_s=1e8", ("tmin_s", "tmax_s")),
         # 3 features x 45,006 lags: a lag count under MAX_LAGS, but a 136 GiB Gram
         ("fit", "lags.tmax_s=900", ("3 features x 45006 lags", "P = 135018", "135.8 GiB")),
+        ("fit", "lambda_grid.n=300000000", ("300000000 grid points",)),
+        # 3,000,000 penalties x 2 channels x P = 63: a 2.8 GiB block of weights
+        ("fit", "lambda_grid.n=3000000", ("3000000 penalties", "P = 63", "2.8 GiB")),
+        ("synth", "synth.n_channels=100000000", ("n_channels=100000000",)),
+        (
+            "synth",
+            'synth={"n_channels": 2000, "duration_s": 100000}',
+            ("n_channels=2000", "duration_s=100000.0"),
+        ),
+        ("synth", "synth.n_features=100000000", ("n_features=100000000",)),
+        ("synth", "synth.n_subjects=100000000", ("n_subjects=100000000",)),
     ],
-    ids=["synth_word_rate", "synth_lags", "fit_lags", "fit_design_width"],
+    ids=[
+        "synth_word_rate", "synth_lags", "fit_lags", "fit_design_width", "fit_grid_points",
+        "fit_grid_weights", "synth_channels", "synth_recording", "synth_features",
+        "synth_subjects",
+    ],
 )
 def test_a_spec_too_large_to_generate_or_lag_exits_2_with_one_error_line(
     tmp_path, command, change, named

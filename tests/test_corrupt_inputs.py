@@ -6,8 +6,8 @@ it, changes one input file by a bit flip, a byte set, a deletion, an
 insertion or a truncation, and runs one command through `main`. The
 property: the exit code is 0, 2, 3 or 4 and no warning is raised; a
 non-zero exit leaves the output directory byte for byte as it was and
-prints exactly one `error:` line, which names the changed file or the
-subject it belongs to. The config file is not changed here: its errors
+prints exactly one `error:` line, which names the changed file, at most
+once, or the subject it belongs to. The config file is not changed here: its errors
 name the config key instead, and tests/test_cli.py covers them.
 """
 
@@ -129,6 +129,7 @@ def _check_one_mutation(tree, tmp_path, command, name, mutation):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         names = [name] + (["subject '"] if name in SUBJECT_FILES else [])
         assert any(n in lines[0] for n in names), lines[0]
+        assert lines[0].count(name) <= 1, lines[0]  # a file is named once, however deep the error
 
 
 def _property(command, examples):

@@ -6,8 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trfkit._util import pow2_scaled, round_half_up, scale_columns_in_place, scaled_columns
-from trfkit.errors import DegenerateDataError, PreconditionError, TrfkitError
+from trfkit._util import naming, pow2_scaled, round_half_up, scale_columns_in_place, scaled_columns
+from trfkit.errors import DegenerateDataError, FormatError, PreconditionError, TrfkitError
 
 # finite values whose rounding any int64 sample index holds, with margin
 held = st.floats(min_value=-(2.0**62), max_value=2.0**62)
@@ -104,3 +104,16 @@ def test_copying_scaling_keeps_float32_and_scales_integers_as_float64():
     ints = np.array([[1, -4], [2, 7], [6, 5]])
     assert scaled_columns(ints[:, :1].astype(np.float32))[0].dtype == np.float32
     assert _scaling(scaled_columns, ints) == _scaling(scaled_columns, ints.astype(np.float64))
+
+
+def test_naming_prefixes_a_trfkit_error_once_and_keeps_its_type():
+    with pytest.raises(DegenerateDataError) as info:
+        with naming("a.btsr: "), naming("a.btsr: "):  # nested blocks of one name
+            raise DegenerateDataError("constant")
+    assert str(info.value) == "a.btsr: constant"
+    with pytest.raises(FormatError, match="^b.tsv: a.btsr: bad$"):
+        with naming("b.tsv: "), naming("a.btsr: "):
+            raise FormatError("bad")
+    with pytest.raises(ValueError, match="^plain$"):  # only trfkit errors are named
+        with naming("a.btsr: "):
+            raise ValueError("plain")
