@@ -9,8 +9,8 @@ Identical config and seed give byte-identical trees for one machine, library
 versions and BLAS thread count. Outputs are staged and moved into place only
 after the whole command succeeds, so a failed run leaves no partial files.
 
-Exit codes: 0 success, 2 config or validation error, 3 data-format
-error, 4 numerical failure.
+Exit codes: 0 success, 2 config or validation error or out of memory,
+3 data-format error, 4 numerical failure.
 """
 
 import argparse
@@ -306,12 +306,6 @@ def cmd_synth(cfg: dict) -> None:
     _commit_outputs(cfg["paths"]["output"], writers)
 
 
-def _prepare_segments(rec, words_z, cfg: dict) -> SegmentSet:
-    rec_z = zscore_channels(rec)
-    aligned = impulse_align(words_z, rec.fs_hz, rec.n_samples)
-    return segment(aligned, rec_z, cfg["window_s"], cfg["overlap"])
-
-
 def _heldout_record(cfg: dict, test: SegmentSet) -> dict:
     """What fit held out, and the settings that decide it, as `<sid>_cv.json` stores it."""
     return {
@@ -349,24 +343,64 @@ def _check_heldout(sid: str, cv_doc, now: dict) -> None:
         )
 
 
-def _fit_one(recs: list, i: int, words, cfg: dict):
-    """Fit subject recs[i]; once it is segmented, recs[i] is set to None to release the recording.
+def _read_words(cfg: dict):
+    """The path in paths.word_events and its word events, which need a feature column."""
+    path = cfg["paths"]["word_events"]
+    if path is None:
+        raise ConfigError("paths.word_events is not set")
+    words = read_word_events(path)
+    if words.dim == 0:
+        raise FormatError(f"{path}: line 1: no feature columns v0, v1, ... after token/onset_s/pos")
+    return path, words
 
-    The held-out windows are released too once their starts are recorded.
-    """
-    sid, fs_hz = recs[i].subject_id, recs[i].fs_hz
-    segs = _prepare_segments(recs[i], words, cfg)
-    recs[i] = None
-    train, test = split_segments(segs, cfg["test_fraction"])
+
+def _read_subjects(cfg: dict):
+    """The word events, z-scored once, after the EEG headers are read to refuse a duplicate id."""
+    if not cfg["paths"]["eeg"]:
+        raise ConfigError("paths.eeg is empty")
+    path, words = _read_words(cfg)
+    with naming(f"{path}: "):
+        words = zscore_features(words)
+    seen = {}
+    for path in cfg["paths"]["eeg"]:  # read_eeg reports a header's other faults, in its turn
+        meta = read_tensor_header(path).get("meta")
+        sid = meta.get("subject_id") if isinstance(meta, dict) else None
+        if not isinstance(sid, str):
+            continue
+        if sid in seen:
+            raise ValidationError(
+                f"duplicate subject id {sid!r} across EEG files {seen[sid]} and {path}"
+            )
+        seen[sid] = path
+    return words
+
+
+def _windows(path, words, cfg: dict) -> tuple[str, float, SegmentSet, SegmentSet]:
+    """Read one subject and window it: (sid, fs_hz, train, test); only the windows outlive it."""
+    rec = read_eeg(path)
+    with naming(f"subject {rec.subject_id!r}: "):
+        rec = zscore_channels(rec)  # the recording as read goes here, before the windows are cut
+        aligned = impulse_align(words, rec.fs_hz, rec.n_samples)
+        segs = segment(aligned, rec, cfg["window_s"], cfg["overlap"])
+        return (rec.subject_id, rec.fs_hz, *split_segments(segs, cfg["test_fraction"]))
+
+
+def _fit_one(path, words, grid: list[float], cfg: dict):
+    """Fit the subject recorded in path; its held-out windows go once their starts are recorded."""
+    sid, fs_hz, train, test = _windows(path, words, cfg)
     heldout, n_test = _heldout_record(cfg, test), len(test)
-    del segs, test
-    if len(train) < cfg["folds"]:
-        raise PreconditionError(f"{len(train)} training segments cannot fill {cfg['folds']} folds")
-    spec = lag_range_to_samples(**cfg["lags"], fs_hz=fs_hz)
-    grid = make_lambda_grid(**cfg["lambda_grid"])
-    solver, iterative = cfg["solver"], IterativeOptions(**cfg["iterative"], seed=cfg["seed"])
-    report = cross_validate(train, spec, grid, cfg["folds"], solver=solver, iterative=iterative)
-    model = fit_trf(train, spec, report.best_lambda, solver=solver, iterative=iterative, cv=report)
+    del test
+    with naming(f"subject {sid!r}: "):
+        if len(train) < cfg["folds"]:
+            raise PreconditionError(
+                f"{len(train)} training segments cannot fill {cfg['folds']} folds"
+            )
+        spec = lag_range_to_samples(**cfg["lags"], fs_hz=fs_hz)
+        solver, iterative = cfg["solver"], IterativeOptions(**cfg["iterative"], seed=cfg["seed"])
+        report = cross_validate(train, spec, grid, cfg["folds"], solver=solver, iterative=iterative)
+        model = fit_trf(
+            train, spec, report.best_lambda, solver=solver, iterative=iterative, cv=report
+        )
     return model, {
         "subject_id": sid,
         "grid": report.grid,
@@ -380,43 +414,14 @@ def _fit_one(recs: list, i: int, words, cfg: dict):
     }
 
 
-def _read_words(cfg: dict):
-    """The path in paths.word_events and its word events, which need a feature column."""
-    path = cfg["paths"]["word_events"]
-    if path is None:
-        raise ConfigError("paths.word_events is not set")
-    words = read_word_events(path)
-    if words.dim == 0:
-        raise FormatError(f"{path}: line 1: no feature columns v0, v1, ... after token/onset_s/pos")
-    return path, words
-
-
-def _read_subjects(cfg: dict):
-    """The recordings and the word events, the latter z-scored once for every subject."""
-    if not cfg["paths"]["eeg"]:
-        raise ConfigError("paths.eeg is empty")
-    path, words = _read_words(cfg)
-    with naming(f"{path}: "):
-        words = zscore_features(words)
-    recs = [read_eeg(p) for p in cfg["paths"]["eeg"]]
-    seen = {}
-    for path, rec in zip(cfg["paths"]["eeg"], recs):
-        if rec.subject_id in seen:
-            raise ValidationError(
-                f"duplicate subject id {rec.subject_id!r} across EEG files "
-                f"{seen[rec.subject_id]} and {path}"
-            )
-        seen[rec.subject_id] = path
-    return recs, words
-
-
 def cmd_fit(cfg: dict) -> None:
-    """Cross-validate and fit one kernel per subject, one subject after another."""
-    recs, words = _read_subjects(cfg)
+    """Cross-validate and fit one kernel per subject, reading one recording at a time."""
+    grid = make_lambda_grid(**cfg["lambda_grid"])
+    words = _read_subjects(cfg)
     writers = []
-    for i, sid in enumerate([rec.subject_id for rec in recs]):
-        with naming(f"subject {sid!r}: "):
-            model, cv_doc = _fit_one(recs, i, words, cfg)
+    for path in cfg["paths"]["eeg"]:
+        model, cv_doc = _fit_one(path, words, grid, cfg)
+        sid = cv_doc["subject_id"]
         writers.append((f"{sid}_trf.btsr", lambda p, m=model: write_trf(p, m)))
         writers.append((f"{sid}_cv.json", lambda p, d=cv_doc: write_json(p, d)))
         _log(f"fit {sid}: best lambda {cv_doc['best_lambda']:g} "
@@ -424,30 +429,25 @@ def cmd_fit(cfg: dict) -> None:
     _commit_outputs(cfg["paths"]["output"], writers)
 
 
-def _evaluate_one(rec, model, cv_doc, words, cfg: dict):
-    """Score model on the segments of rec that fit held out, which cv_doc records."""
-    _, test = split_segments(_prepare_segments(rec, words, cfg), cfg["test_fraction"])
-    _check_heldout(rec.subject_id, cv_doc, _heldout_record(cfg, test))
-    return evaluate_subject(model, test, model.lag_spec, subject_id=rec.subject_id)
-
-
 def cmd_evaluate(cfg: dict) -> None:
-    """Score fitted kernels on each subject's held-out segments, one subject after another."""
+    """Score fitted kernels on each subject's held-out segments, reading one recording at a time."""
     out_dir, layout_path = cfg["paths"]["output"], cfg["paths"]["layout"]
     if layout_path is None:
         raise ConfigError("paths.layout is not set")
     layout = read_channel_layout(layout_path)
-    recs, words = _read_subjects(cfg)
+    words = _read_subjects(cfg)
     reports, writers = [], []
-    for rec in recs:
-        sid = rec.subject_id
-        paths = [out_dir / f"{sid}_{kind}" for kind in ("trf.btsr", "cv.json")]
-        for path in paths:
-            if not path.exists():
-                raise ValidationError(f"no fit output for subject {sid!r} (expected {path})")
-        model, cv_doc = read_trf(paths[0]), read_json(paths[1])
+    for path in cfg["paths"]["eeg"]:
+        sid, test = _windows(path, words, cfg)[::3]  # no training windows: evaluate holds none
+        fitted = [out_dir / f"{sid}_{kind}" for kind in ("trf.btsr", "cv.json")]
+        for p in fitted:
+            if not p.exists():
+                raise ValidationError(f"no fit output for subject {sid!r} (expected {p})")
+        model, cv_doc = read_trf(fitted[0]), read_json(fitted[1])
         with naming(f"subject {sid!r}: "):
-            report = _evaluate_one(rec, model, cv_doc, words, cfg)
+            _check_heldout(sid, cv_doc, _heldout_record(cfg, test))
+            report = evaluate_subject(model, test, model.lag_spec, subject_id=sid)
+        del test
         with naming(f"{layout_path}: "):
             rows = topo_report(report, layout)
         reports.append(report)
@@ -580,6 +580,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # a size under every cap that this host's memory cannot hold
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 2
 
 
 def run() -> NoReturn:

@@ -292,7 +292,7 @@ def _parse_header(raw: bytes) -> tuple[dict, int]:
 def read_tensor_header(path) -> dict:
     """Read and validate only the JSON header line of a BTSR file."""
     with open(path, "rb") as fh, naming(f"{path}: "):
-        return _parse_header(fh.read(_HEADER_LIMIT))[0]
+        return _parse_header(fh.readline(_HEADER_LIMIT))[0]
 
 
 def read_tensor(path) -> TensorFile:

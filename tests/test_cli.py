@@ -403,15 +403,23 @@ def test_fit_releases_each_recording_once_it_is_segmented(tmp_path, monkeypatch)
 
     alive = []
 
-    def checking(*args, **kwargs):
-        alive.append(sorted(sid for sid, ref in raw.items() if ref() is not None))
-        return cross_validate(*args, **kwargs)
+    def checking(step):
+        def check(*args, **kwargs):
+            alive.append(sorted(sid for sid, ref in raw.items() if ref() is not None))
+            return step(*args, **kwargs)
+
+        return check
 
     monkeypatch.setattr(cli, "read_eeg", reading)
-    monkeypatch.setattr(cli, "cross_validate", checking)
+    monkeypatch.setattr(cli, "cross_validate", checking(cross_validate))
+    monkeypatch.setattr(cli, "evaluate_subject", checking(cli.evaluate_subject))
     assert _run("fit", "--config", str(config)) == 0
-    # subjects are fitted in order: the second is not yet segmented while the first is
-    assert alive == [["sub01"], []]
+    # each recording is read when its turn comes and is gone before its windows are fitted
+    assert alive == [[], []] and sorted(raw) == ["sub00", "sub01"]
+    raw.clear()
+    alive.clear()
+    assert _run("evaluate", "--config", str(config)) == 0
+    assert alive == [[], []] and sorted(raw) == ["sub00", "sub01"]
 
 
 def test_iterative_solver_runs_end_to_end(tmp_path):
@@ -779,6 +787,41 @@ def test_two_eeg_files_of_one_subject_exit_2_naming_both_and_write_nothing(
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("twice", [False, True], ids=["two_files", "one_file_twice"])
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_a_duplicate_subject_id_is_refused_before_any_recording_is_read(
+    tmp_path, capsys, monkeypatch, command, twice
+):
+    import trfkit.cli as cli
+
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    assert _run("fit", "--config", str(config)) == 0
+    first = tmp_path / "out" / "sub00_eeg.btsr"
+    again = first if twice else tmp_path / "again_eeg.btsr"
+    again.write_bytes(first.read_bytes())
+    config = _write_config(tmp_path, {"paths.eeg": ["out/sub00_eeg.btsr", str(again)]})
+    read = []
+    monkeypatch.setattr(cli, "read_eeg", read.append)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert _run(command, "--config", str(config)) == 2
+    assert _one_error_line(capsys) == (
+        f"error: duplicate subject id 'sub00' across EEG files {first} and {again}"
+    )
+    assert read == [] and _files(tmp_path) == before
+
+
+def test_a_grid_refusal_names_no_subject(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    capsys.readouterr()
+    assert _run("fit", "--config", str(config), "--set", "lambda_grid.n=300000000") == 2
+    assert _one_error_line(capsys) == (
+        "error: 300000000 grid points are more than the 10000000 allowed"
+    )
+
+
 @pytest.mark.parametrize("command", ["fit", "lda"])
 def test_word_events_without_feature_columns_exit_3_with_one_error_line(tmp_path, capsys, command):
     config = _write_config(tmp_path, {"lda": {"enabled": True, "n_components": 2}})
@@ -986,6 +1029,50 @@ def test_a_spec_too_large_to_generate_or_lag_exits_2_with_one_error_line(
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert all(name in lines[0] for name in named) and "allowed" in lines[0]
     assert _files(tmp_path) == before
+
+
+def test_a_size_under_every_cap_that_memory_cannot_hold_exits_2_with_one_error_line(tmp_path):
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+    before = _files(tmp_path)
+    # 2,000,000 penalties x 2 channels x P = 63: a 1.9 GiB block of weights, under the
+    # weight-block cap but more than the child's 1.5 GiB of address space holds
+    code, err = _run_limited("fit", "--config", str(config), "--set", "lambda_grid.n=2000000")
+    lines = err.splitlines()
+    assert code == 2, err
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), err
+    assert "GiB" in lines[0]
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_a_cohort_peak_does_not_grow_by_a_recording_per_subject(tmp_path, command):
+    eeg = [f"out/sub{s:02d}_eeg.btsr" for s in range(8)]
+    settings = {
+        "lags": {"tmin_s": 0.0, "tmax_s": 0.2}, "folds": 2, "lambda_grid.n": 4,
+        "synth": {"fs_hz": 100.0, "duration_s": 60.0, "n_channels": 64, "n_features": 3,
+                  "word_rate_hz": 2.0, "snr": 1.0, "n_subjects": 8},
+    }
+    configs = [
+        _write_config(tmp_path, {**settings, "paths.eeg": eeg[:n]}, name=f"config{n}.json")
+        for n in (4, 8)
+    ]
+    assert _run("synth", "--config", str(configs[1])) == 0
+    peaks = []
+    for config in configs:
+        out = str(config.with_suffix(""))
+        if command == "evaluate":
+            assert _run("fit", "--config", str(config), "--output", out) == 0
+        code, peak = _child_peak_rss(
+            ["-m", "trfkit", command, "--config", str(config), "--output", out]
+        )
+        assert code == 0
+        peaks.append(peak)
+    recording = 60 * 100 * 64 * 8  # bytes: 60 s at 100 Hz, 64 channels of float64
+    growth = (peaks[1] - peaks[0]) / recording
+    # measured with one BLAS thread: 3.9-4.2 recordings while every recording was read
+    # before the first subject was windowed; -0.1 to +0.1 reading one at a time
+    assert growth < 1.0, f"4 more subjects raise {command}'s peak by {growth:.2f} recordings"
 
 
 def test_long_story_builds_one_design_per_fold_and_one_test_design(tmp_path, monkeypatch):
