@@ -21,6 +21,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NoReturn
@@ -37,8 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .lagged_design import lag_range_to_samples
-from .lda_reduce import fit_lda, separation_report, transform, write_lda
-from .preprocess import SegmentSet, impulse_align, segment, zscore_channels, zscore_features
+from .lda_reduce import ComponentClampWarning, fit_lda, separation_report, transform, write_lda
+from .preprocess import SegmentSet, align_events, segment, zscore_channels, zscore_features
 from .ridge_trf import (
     IterativeOptions,
     cross_validate,
@@ -380,8 +381,8 @@ def _windows(path, words, cfg: dict) -> tuple[str, float, SegmentSet, SegmentSet
     rec = read_eeg(path)
     with naming(f"subject {rec.subject_id!r}: "):
         rec = zscore_channels(rec)  # the recording as read goes here, before the windows are cut
-        aligned = impulse_align(words, rec.fs_hz, rec.n_samples)
-        segs = segment(aligned, rec, cfg["window_s"], cfg["overlap"])
+        events = align_events(words, rec.fs_hz, rec.n_samples)
+        segs = segment(events, rec, cfg["window_s"], cfg["overlap"])
         return (rec.subject_id, rec.fs_hz, *split_segments(segs, cfg["test_fraction"]))
 
 
@@ -593,6 +594,7 @@ def run() -> NoReturn:
     the flush of stdout and stderr and module teardown run as before. main()
     itself leaves the collector alone, for callers that stay in the process.
     """
+    warnings.simplefilter("ignore", ComponentClampWarning)  # `lda` reports a clamp in its own line
     code = main()
     gc.freeze()
     sys.exit(code)

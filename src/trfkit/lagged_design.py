@@ -7,13 +7,12 @@ x[t - lag_samples[l], i], with zeros where the shift runs off either end
 of the series. Columns are feature-major so each feature owns one
 contiguous block of L lag columns.
 
-Word-feature impulse trains are mostly zero, so their designs are too:
-build_lagged_csr builds the same matrix in CSR form from the non-zero
-samples alone, and the model fitting code works on that form.
-build_windows_csr builds the stacked design of any set of equal-length
-windows, each zero-padded at its own edges, in one pass and without a
-sort; build_lagged_csr is its one-window case. A lag range may span at
-most MAX_LAGS lags.
+Word-feature impulse trains are mostly zero, so their designs are too: one
+routine builds every design in CSR form from each window's (row, vector)
+events, storing no zero or -0.0 component. build_windows_csr takes windows
+as EventSeries or as dense arrays, which one pass over their rows turns into
+events; build_lagged_csr is its one-window case, and build_lagged_matrix
+that design made dense. A lag range may span at most MAX_LAGS lags.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._util import round_half_up
 from .errors import PreconditionError
-from .preprocess import FeatureSeries
+from .preprocess import EventSeries, FeatureSeries
 
 __all__ = [
     "LagSpec",
@@ -100,37 +99,21 @@ def lag_range_to_samples(tmin_s: float, tmax_s: float, fs_hz: float) -> LagSpec:
 
 
 def build_lagged_matrix(x: FeatureSeries, spec: LagSpec) -> DesignMatrix:
-    """Expand a feature series into its lagged design matrix.
+    """Expand a feature series into its lagged design matrix: build_lagged_csr, made dense.
 
     Zero padding at the edges: a positive lag looks into the past, so the
     first `lag` rows of that column are zero; a negative lag looks into
     the future and zeros the tail.
     """
-    if x.fs_hz != spec.fs_hz:
-        raise PreconditionError(
-            f"sampling rates differ: series {x.fs_hz} vs lag spec {spec.fs_hz}"
-        )
-    T, D = x.data.shape
-    L = spec.n_lags
-    out = np.zeros((T, D * L))
-    cols = np.arange(D) * L
-    for li, lag in enumerate(spec.lag_samples):
-        if lag >= T or lag <= -T:
-            continue  # shift leaves nothing inside the window
-        if lag >= 0:
-            out[lag:, cols + li] = x.data[: T - lag]
-        else:
-            out[: T + lag, cols + li] = x.data[-lag:]
-    return DesignMatrix(data=out, lag_spec=spec, n_features=D)
+    return DesignMatrix(build_lagged_csr(x, spec).toarray(), lag_spec=spec, n_features=x.n_features)
 
 
 def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> "scipy.sparse.csr_array":
-    """The lagged design of build_lagged_matrix as a CSR array.
+    """The lagged design of a feature series as a CSR array.
 
-    Built from the non-zero samples alone: sample x[t, i] lands at row
-    t + lag_samples[l], column i*L + l, for every lag that keeps the row
-    inside the series. The stored entries are exactly the non-zero
-    entries of the dense design, so `.toarray()` equals it.
+    Sample x[t, i] lands at row t + lag_samples[l], column i*L + l, for every
+    lag that keeps the row inside the series; the stored entries are exactly
+    the non-zero ones.
     """
     if x.fs_hz != spec.fs_hz:
         raise PreconditionError(
@@ -142,36 +125,50 @@ def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> "scipy.sparse.csr_array
 def build_windows_csr(windows, spec: LagSpec) -> "scipy.sparse.csr_array":
     """Lagged CSR design of equal-length windows stacked in order, each zero-padded at its edges.
 
-    Rows w*n to (w+1)*n, for windows of n samples, are build_lagged_csr of window w
-    alone. Nothing is sorted: every lag column keeps its feature's non-zero rows in
-    increasing order, so the columns are counted, filled into CSC arrays and
-    converted once.
+    A window is an EventSeries of n samples or a dense (n, D) array. Rows w*n to
+    (w+1)*n are build_lagged_csr of window w alone. Nothing is sorted: every lag
+    column keeps its feature's non-zero rows in increasing order, so the columns
+    are counted, filled into CSC arrays and converted once.
     """
     import scipy.sparse
 
-    windows = [np.asarray(w, dtype=np.float64) for w in windows]
-    if not windows or windows[0].ndim != 2 or any(w.shape != windows[0].shape for w in windows):
+    events = [_window_events(w) for w in windows]
+    if not events or len({(n, v.shape[1]) for n, _, v in events}) != 1:
         raise PreconditionError("need one or more 2-D windows of one shape")
-    n, D = windows[0].shape
-    shape = (n * len(windows), D * spec.n_lags)
-    return scipy.sparse.csc_array(_lagged_csc(windows, spec.lag_samples), shape=shape).tocsr()
+    n, D = events[0][0], events[0][2].shape[1]
+    shape = (n * len(events), D * spec.n_lags)
+    return scipy.sparse.csc_array(_lagged_csc(events, spec.lag_samples), shape=shape).tocsr()
 
 
-def _lagged_csc(windows, lag_samples) -> tuple:
-    """CSC (data, indices, indptr) of build_windows_csr; its scratch arrays die on return."""
-    x, window = np.concatenate(windows), max(len(windows[0]), 1)
+def _window_events(window) -> tuple:
+    """(n_samples, rows, vectors) of a window; a dense one keeps its rows that are not all zero."""
+    if isinstance(window, EventSeries):
+        return window.n_samples, window.samples, window.rows
+    x = np.asarray(window, dtype=np.float64)
+    if x.ndim != 2:
+        raise PreconditionError("need one or more 2-D windows of one shape")
+    rows = np.flatnonzero(x.any(axis=1))
+    return x.shape[0], rows, x[rows]
+
+
+def _lagged_csc(events, lag_samples) -> tuple:
+    """CSC (data, indices, indptr) of the windows' (n, rows, vectors); its scratch dies on return."""
+    window = max(events[0][0], 1)
+    stacked = np.concatenate([w * window + r for w, (_, r, _) in enumerate(events)])
+    x = np.concatenate([v for _, _, v in events])
     lags = np.asarray(lag_samples)[:, None]
     # lag l keeps sample t of a window iff lo[l] <= t < hi[l], that is 0 <= t + lag < window
     lo, hi = np.clip(-lags, 0, window), np.clip(window - lags, 0, window)
-    rows = [np.flatnonzero(column) for column in x.T]
+    nonzero = [np.flatnonzero(column) for column in x.T]
+    rows = [stacked[k] for k in nonzero]
     # before[k] counts a feature's non-zero samples at times t < k in their windows
     before = [np.bincount(r % window + 1, minlength=window + 1).cumsum() for r in rows]
     indptr = np.concatenate(([0], np.cumsum([b[hi] - b[lo] for b in before], dtype=np.int64)))
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
-    for i, r in enumerate(rows):
+    for i, (k, r) in enumerate(zip(nonzero, rows)):
         t = r % window
         keep = (t >= lo) & (t < hi)  # (L, nnz), lag-major: the CSC order of this feature's columns
         block = slice(indptr[i * len(lags)], indptr[(i + 1) * len(lags)])
         indices[block] = (r + lags)[keep]
-        data[block] = np.broadcast_to(x[r, i], keep.shape)[keep]
+        data[block] = np.broadcast_to(x[k, i], keep.shape)[keep]
     return data, indices, indptr

@@ -4,6 +4,10 @@ Everything here is a pure function from arrays to arrays. Standardisation
 uses the population standard deviation (divide by N, not N-1) and is
 applied over the full recording, before any windowing, so repeated
 application is a no-op up to float rounding.
+
+A word stimulus has one internal form, its events (align_events), whose windows
+are index ranges: the command line builds no dense impulse series and copies no
+feature window. impulse_align and FeatureSeries are the same events made dense.
 """
 
 from dataclasses import dataclass, replace
@@ -16,10 +20,12 @@ from .tensorio import EegRecording, WordEventSequence
 
 __all__ = [
     "FeatureSeries",
+    "EventSeries",
     "Segment",
     "SegmentSet",
     "zscore_channels",
     "zscore_features",
+    "align_events",
     "impulse_align",
     "segment",
 ]
@@ -51,10 +57,42 @@ class FeatureSeries:
 
 
 @dataclass
+class EventSeries:
+    """A stimulus on an n_samples grid as events: rows[k] at samples[k], zero elsewhere."""
+
+    samples: np.ndarray  # (n_events,) int64: distinct, increasing, in [0, n_samples)
+    rows: np.ndarray  # (n_events, n_features)
+    n_samples: int
+    fs_hz: float
+
+    def __post_init__(self):
+        self.samples = np.asarray(self.samples, dtype=np.int64)
+        self.rows = np.asarray(self.rows, dtype=np.float64)
+        s, n = self.samples, self.n_samples
+        # a sample off the grid would index past the design's rows
+        if s.ndim != 1 or self.rows.ndim != 2 or len(s) != len(self.rows) or not (
+            len(s) == 0 or (0 <= s[0] and s[-1] < n and np.all(s[1:] > s[:-1]))
+        ):
+            raise PreconditionError(
+                f"events need a 1-D run of samples increasing in [0, {n}) and one row of "
+                f"features each, got samples of shape {s.shape} and rows of shape {self.rows.shape}"
+            )
+
+    @property
+    def n_features(self) -> int:
+        return self.rows.shape[1]
+
+    def window(self, start: int, n: int) -> "EventSeries":
+        """The n samples from start on, as events of their own grid; the rows are not copied."""
+        lo, hi = np.searchsorted(self.samples, [start, start + n])
+        return replace(self, samples=self.samples[lo:hi] - start, rows=self.rows[lo:hi], n_samples=n)
+
+
+@dataclass
 class Segment:
     """One analysis window: stimulus block x and response block y."""
 
-    x: np.ndarray  # (window_samples, n_features)
+    x: np.ndarray | None  # (window_samples, n_features); None in a set with a stimulus
     y: np.ndarray  # (window_samples, n_channels)
     start: int  # sample index of the window start in the source recording
 
@@ -68,6 +106,7 @@ class SegmentSet:
     hop_samples: int
     fs_hz: float
     channel_names: list[str]
+    stimulus: EventSeries | None = None  # each segment's stimulus is its window of this
 
     def __post_init__(self):
         if self.hop_samples > self.window_samples:
@@ -75,7 +114,8 @@ class SegmentSet:
                 f"hop ({self.hop_samples}) exceeds window ({self.window_samples})"
             )
         for k, seg in enumerate(self.segments):
-            if seg.x.shape[0] != self.window_samples or seg.y.shape[0] != self.window_samples:
+            x_rows = seg.x.shape[0] if self.stimulus is None else self.window_samples
+            if x_rows != self.window_samples or seg.y.shape[0] != self.window_samples:
                 raise PreconditionError(f"segment {k} does not span {self.window_samples} samples")
 
     def __len__(self) -> int:
@@ -83,6 +123,8 @@ class SegmentSet:
 
     @property
     def n_features(self) -> int:
+        if self.stimulus is not None:
+            return self.stimulus.n_features
         return self.segments[0].x.shape[1] if self.segments else 0
 
     @property
@@ -91,6 +133,12 @@ class SegmentSet:
 
     def subset(self, indices) -> "SegmentSet":
         return replace(self, segments=[self.segments[i] for i in indices])
+
+    def windows(self, indices) -> list:
+        """The stimulus of the given segments, in order: each one's x, or its event window."""
+        if self.stimulus is None:
+            return [self.segments[i].x for i in indices]
+        return [self.stimulus.window(self.segments[i].start, self.window_samples) for i in indices]
 
 
 def zscore_channels(rec: EegRecording) -> EegRecording:
@@ -133,11 +181,11 @@ def zscore_features(seq: WordEventSequence) -> WordEventSequence:
     return seq.with_vectors((mat - mean) / std)
 
 
-def impulse_align(seq: WordEventSequence, fs_hz: float, n_samples: int) -> FeatureSeries:
-    """Scatter event vectors onto the sampling grid as an impulse train.
+def align_events(seq: WordEventSequence, fs_hz: float, n_samples: int) -> EventSeries:
+    """The words as events on an n_samples grid.
 
-    Each event lands at sample floor(onset_s * fs_hz + 0.5); events that
-    round to the same sample are summed. Every other sample is zero.
+    Each word lands at sample floor(onset_s * fs_hz + 0.5); the vectors of words
+    that land on one sample are summed, from +0.0 and in word order.
     """
     if not (fs_hz > 0):
         raise PreconditionError(f"fs_hz must be positive, got {fs_hz}")
@@ -150,16 +198,26 @@ def impulse_align(seq: WordEventSequence, fs_hz: float, n_samples: int) -> Featu
             f"{seq.tokens[i]!r}@{seq.onsets()[i]}s->sample {idx[i]}" for i in bad[:10]
         ) + ("" if bad.size <= 10 else f" and {bad.size - 10} more")
         raise PreconditionError(f"event(s) fall outside the {n_samples}-sample grid: {detail}")
-    out = np.zeros((n_samples, seq.dim))
-    np.add.at(out, idx, seq.vectors())
+    samples, slot = np.unique(idx, return_inverse=True)
+    rows = np.zeros((samples.size, seq.dim))
+    np.add.at(rows, slot, seq.vectors())
+    return EventSeries(samples=samples, rows=rows, n_samples=n_samples, fs_hz=fs_hz)
+
+
+def impulse_align(seq: WordEventSequence, fs_hz: float, n_samples: int) -> FeatureSeries:
+    """The events of align_events as a dense impulse train, samples x features."""
+    events = align_events(seq, fs_hz, n_samples)
+    out = np.zeros((n_samples, events.n_features))
+    out[events.samples] = events.rows
     return FeatureSeries(data=out, fs_hz=fs_hz)
 
 
-def segment(x: FeatureSeries, y: EegRecording, window_s: float, overlap_frac: float) -> SegmentSet:
+def segment(x, y: EegRecording, window_s: float, overlap_frac: float) -> SegmentSet:
     """Cut aligned stimulus/response into fixed windows, temporal order.
 
     window_samples = round(window_s * fs); hop = round(window * (1 - overlap)).
-    A trailing partial window is dropped.
+    A trailing partial window is dropped. A FeatureSeries x is copied into each
+    window; an EventSeries x becomes the set's stimulus, and is not copied.
     """
     if x.fs_hz != y.fs_hz:
         raise PreconditionError(f"sampling rates differ: x {x.fs_hz} vs y {y.fs_hz}")
@@ -181,12 +239,13 @@ def segment(x: FeatureSeries, y: EegRecording, window_s: float, overlap_frac: fl
         raise PreconditionError(
             f"window {window} with overlap {overlap_frac} yields an empty hop"
         )
+    events = x if isinstance(x, EventSeries) else None
     yt = y.data.T  # samples x channels
     segments = []
     for start in range(0, x.n_samples - window + 1, hop):
         segments.append(
             Segment(
-                x=x.data[start : start + window].copy(),
+                x=None if events is not None else x.data[start : start + window].copy(),
                 y=yt[start : start + window].copy(),
                 start=start,
             )
@@ -197,4 +256,5 @@ def segment(x: FeatureSeries, y: EegRecording, window_s: float, overlap_frac: fl
         hop_samples=hop,
         fs_hz=x.fs_hz,
         channel_names=list(y.channel_names),
+        stimulus=events,
     )

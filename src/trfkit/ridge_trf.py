@@ -9,27 +9,19 @@ objective.
 
 Cross-validation, the closed-form fit and evaluation share one path for
 the sufficient statistics: each segment set (a fold, the training set,
-the test set) is one call of lagged_design.build_windows_csr, which
-builds its CSR design straight from the non-zero samples without a sort.
-X^T Y is a sparse product, and X^T X is formed by fixed-width column
-blocks of it, X^T X[:, j0:j1], so no P x P sparse product is made. The
-iterative solver works on the dense design: each kept fold design writes
-its own row block of one training array.
+the test set) is one call of lagged_design.build_windows_csr on the set's
+windows. X^T Y is a sparse product, and X^T X is formed by fixed-width
+column blocks of it, so no P x P sparse product is made. The iterative
+solver works on the dense design: each kept fold design writes its own row
+block of one training array.
 
 Closed-form cross-validation holds one Fortran P x P buffer for the whole
-search. A first pass builds every fold's design and sums its Gram into the
-buffer and its X^T Y into a (P, E) total; the strict upper triangle and a
-copy of the diagonal then keep the Gram totals. Each fold writes its
-training Gram (the totals less its own Gram) into the lower triangle,
-where the reduction runs in place and leaves the upper triangle as it
-was. The fold designs are kept, their responses are not: a fold's
-response is concatenated again when the fold is scored. So the search
-holds at once the P x P buffer, the fold designs, one fold's response and
-one weight block with every penalty's weights. After the last fold the
-chosen penalty's Cholesky factorises the totals in the lower triangle,
-and the report carries the weights it gives: the closed-form final fit at
-that penalty, given the report, builds no design, forms no Gram and
-factorises nothing.
+search: its strict upper triangle and a copy of its diagonal keep the Gram
+totals of every fold, and each fold's training Gram is written into the
+lower triangle and reduced there in place. The fold designs are kept, their
+responses are not. After the last fold the chosen penalty's Cholesky
+factorises the totals, and the report carries the weights it gives, so the
+closed-form final fit at that penalty builds no design and forms no Gram.
 
 Cross-validation assigns segments to contiguous folds in temporal order
 and scores each candidate penalty by the mean Pearson correlation across
@@ -439,7 +431,7 @@ def pick_best_lambda(grid, mean_scores) -> float:
 
 def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
     """CSR design and response of the given segments, stacked in order by one build."""
-    X = build_windows_csr([segments.segments[i].x for i in indices], spec)
+    X = build_windows_csr(segments.windows(indices), spec)
     return X, _stacked_response(segments, indices)
 
 

@@ -85,6 +85,16 @@ def test_readme_config_block_is_default_config():
     assert json.dumps(json.loads(block)) == json.dumps(DEFAULT_CONFIG)
 
 
+def test_readme_python_api_block_runs(capsys):
+    # the public dense path: impulse_align -> segment -> cross_validate/fit_trf -> evaluate_subject
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    mean_r, fisher_p = map(float, capsys.readouterr().out.split())
+    assert 0.0 < mean_r <= 1.0 and 0.0 <= fisher_p < 0.05
+
+
 def test_load_config_merges_over_defaults(tmp_path):
     path = _write_config(tmp_path)
     cfg = load_config(path)
@@ -1102,6 +1112,35 @@ def test_long_story_builds_one_design_per_fold_and_one_test_design(tmp_path, mon
     assert builds == [cv["n_test_segments"]]
 
 
+def test_fit_and_evaluate_build_no_dense_stimulus(tmp_path, monkeypatch):
+    import trfkit.cli as cli
+    import trfkit.preprocess as preprocess
+
+    config = _write_config(tmp_path)
+    assert _run("synth", "--config", str(config)) == 0
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense impulse series was built")
+
+    monkeypatch.setattr(preprocess, "impulse_align", dense)
+    monkeypatch.setattr(cli, "impulse_align", dense, raising=False)
+    fitted = []
+
+    def recording(segments, *args, **kwargs):
+        fitted.append(segments)
+        return cross_validate(segments, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cross_validate", recording)
+    assert _run("fit", "--config", str(config)) == 0
+    assert _run("evaluate", "--config", str(config)) == 0
+    (train,) = fitted
+    # every window is an index range of the one event stimulus: it holds its response alone
+    assert train.stimulus is not None and train.n_features == 3
+    assert all(
+        [k for k, v in vars(seg).items() if isinstance(v, np.ndarray)] == ["y"] for seg in train.segments
+    )
+
+
 def test_fit_peak_rss_above_its_imports_stays_under_two_grams(tmp_path):
     # 10 features x 150 lags: P = 1,500, an 18 MB Gram, larger than all else fit holds
     config = _write_config(tmp_path, {
@@ -1208,6 +1247,25 @@ def test_lda_clamps_when_request_exceeds_classes(tmp_path):
     assert sep["requested_components"] == 9
     assert sep["n_components"] == 2  # 3 classes -> at most 2
     assert sep["clamped"]
+
+
+def test_lda_on_the_command_line_reports_a_clamp_once(tmp_path):
+    import subprocess
+    import sys
+
+    _tagged_words_tsv(tmp_path / "tagged.tsv")
+    config = _write_config(
+        tmp_path, {"paths.word_events": "tagged.tsv", "lda": {"enabled": True, "n_components": 9}}
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "trfkit", "lda", "--config", str(config)],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "lda: clamped from 9 to 2 components",
+        "lda: 3 classes -> 2 components",
+    ]
 
 
 def test_lda_requires_enable_flag(tmp_path):

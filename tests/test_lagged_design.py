@@ -13,7 +13,8 @@ from trfkit.lagged_design import (
     build_windows_csr,
     lag_range_to_samples,
 )
-from trfkit.preprocess import FeatureSeries
+from trfkit.preprocess import FeatureSeries, align_events
+from trfkit.tensorio import WordEvent, WordEventSequence
 
 
 def test_lag_range_standard_window():
@@ -197,7 +198,24 @@ def _per_window_reference(windows, spec):
     return scipy.sparse.vstack(blocks, format="csr")
 
 
-_WINDOW_KINDS = st.sampled_from(["empty", "impulse", "sparse", "dense"])
+_WINDOW_KINDS = st.sampled_from(["empty", "impulse", "sparse", "dense", "events"])
+
+
+def _event_window(rng, window, d):
+    """The middle third of a 3 * window grid of words, as events and as the dense train.
+
+    Words land before, inside and after the window, some on one sample, with
+    0.0 and -0.0 components; the dense train sums them as np.add.at does.
+    """
+    n = 3 * window
+    samples = np.sort(np.concatenate(([0, n - 1], rng.integers(n, size=n + 1))))
+    vectors = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(samples.size, d))
+    words = WordEventSequence(
+        [WordEvent(f"w{k}", s / 100.0, v) for k, (s, v) in enumerate(zip(samples, vectors))], dim=d
+    )
+    dense = np.zeros((n, d))
+    np.add.at(dense, samples, vectors)
+    return align_events(words, 100.0, n).window(window, window), dense[window : 2 * window]
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,10 +231,14 @@ def test_one_build_of_a_window_set_equals_per_window_builds_stacked(
     window, d, first_lag, n_lags, kinds, seed
 ):
     # lags from well before to well past either window edge; each window
-    # empty, one impulse, sparse or fully dense; any ordered subset of them
+    # empty, one impulse, sparse, fully dense or cut from word events; any
+    # ordered subset of them
     rng = np.random.default_rng(seed)
     windows = []
     for kind, _ in kinds:
+        if kind == "events":
+            windows.append(_event_window(rng, window, d))
+            continue
         x = np.zeros((window, d))
         if kind == "impulse":
             x[rng.integers(window), rng.integers(d)] = rng.normal()
@@ -224,11 +246,11 @@ def test_one_build_of_a_window_set_equals_per_window_builds_stacked(
             x[:] = rng.normal(size=(window, d))
             if kind == "sparse":
                 x[rng.random((window, d)) >= 0.2] = 0.0
-        windows.append(x)
-    chosen = [x for x, (_, kept) in zip(windows, kinds) if kept] or windows[:1]
+        windows.append((x, x))
+    chosen = [w for w, (_, kept) in zip(windows, kinds) if kept] or windows[:1]
     spec = _spec(range(first_lag, first_lag + n_lags))
-    got = build_windows_csr(chosen, spec)
-    want = _per_window_reference(chosen, spec)
+    got = build_windows_csr([w for w, _ in chosen], spec)
+    want = _per_window_reference([x for _, x in chosen], spec)
     assert got.shape == want.shape == (len(chosen) * window, d * n_lags)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)

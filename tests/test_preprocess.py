@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trfkit.errors import DegenerateDataError, PreconditionError
 from trfkit.preprocess import (
+    EventSeries,
     FeatureSeries,
     impulse_align,
     segment,
@@ -185,6 +186,18 @@ def test_impulse_conserves_feature_mass(pairs):
     out = impulse_align(seq, fs_hz=100.0, n_samples=100)
     total = sum(v for _, v in pairs)
     assert np.isclose(out.data.sum(), total, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "samples, rows",
+    [([3, 20], (2, 2)), ([-1, 3], (2, 2)), ([5, 5], (2, 2)), ([7, 3], (2, 2)), ([3, 7], (1, 2)),
+     ([3, 7], (2,))],
+    ids=["past_the_grid", "before_the_grid", "repeated", "decreasing", "rows_differ", "rows_1d"],
+)
+def test_event_series_refuses_samples_a_design_cannot_index(samples, rows):
+    with pytest.raises(PreconditionError, match="increasing in \\[0, 20\\)"):
+        EventSeries(samples, np.ones(rows), n_samples=20, fs_hz=100.0)
+    assert EventSeries([3, 7], np.ones((2, 2)), n_samples=20, fs_hz=100.0).samples.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
