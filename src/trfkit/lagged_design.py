@@ -115,24 +115,22 @@ def build_lagged_csr(x: FeatureSeries, spec: LagSpec) -> "scipy.sparse.csr_array
     lag that keeps the row inside the series; the stored entries are exactly
     the non-zero ones.
     """
-    if x.fs_hz != spec.fs_hz:
-        raise PreconditionError(
-            f"sampling rates differ: series {x.fs_hz} vs lag spec {spec.fs_hz}"
-        )
+    _check_rate(x.fs_hz, spec)
     return build_windows_csr([x.data], spec)
 
 
 def build_windows_csr(windows, spec: LagSpec) -> "scipy.sparse.csr_array":
     """Lagged CSR design of equal-length windows stacked in order, each zero-padded at its edges.
 
-    A window is an EventSeries of n samples or a dense (n, D) array. Rows w*n to
-    (w+1)*n are build_lagged_csr of window w alone. Nothing is sorted: every lag
-    column keeps its feature's non-zero rows in increasing order, so the columns
-    are counted, filled into CSC arrays and converted once.
+    A window is an EventSeries of n samples at the spec's rate, or a dense (n, D)
+    array, which carries no rate. Rows w*n to (w+1)*n are build_lagged_csr of
+    window w alone. Nothing is sorted: every lag column keeps its feature's
+    non-zero rows in increasing order, so the columns are counted, filled into
+    CSC arrays and converted once.
     """
     import scipy.sparse
 
-    events = [_window_events(w) for w in windows]
+    events = [_window_events(w, spec) for w in windows]
     if not events or len({(n, v.shape[1]) for n, _, v in events}) != 1:
         raise PreconditionError("need one or more 2-D windows of one shape")
     n, D = events[0][0], events[0][2].shape[1]
@@ -140,9 +138,15 @@ def build_windows_csr(windows, spec: LagSpec) -> "scipy.sparse.csr_array":
     return scipy.sparse.csc_array(_lagged_csc(events, spec.lag_samples), shape=shape).tocsr()
 
 
-def _window_events(window) -> tuple:
+def _check_rate(fs_hz: float, spec: LagSpec) -> None:
+    if fs_hz != spec.fs_hz:
+        raise PreconditionError(f"sampling rates differ: series {fs_hz} vs lag spec {spec.fs_hz}")
+
+
+def _window_events(window, spec: LagSpec) -> tuple:
     """(n_samples, rows, vectors) of a window; a dense one keeps its rows that are not all zero."""
     if isinstance(window, EventSeries):
+        _check_rate(window.fs_hz, spec)
         return window.n_samples, window.samples, window.rows
     x = np.asarray(window, dtype=np.float64)
     if x.ndim != 2:

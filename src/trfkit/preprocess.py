@@ -5,9 +5,11 @@ uses the population standard deviation (divide by N, not N-1) and is
 applied over the full recording, before any windowing, so repeated
 application is a no-op up to float rounding.
 
-A word stimulus has one internal form, its events (align_events), whose windows
-are index ranges: the command line builds no dense impulse series and copies no
-feature window. impulse_align and FeatureSeries are the same events made dense.
+A word stimulus has one internal form, its events (align_events). segment()
+gives each window of them its own EventSeries, whose rows are not copied: the
+command line builds no dense impulse series and copies no feature window.
+impulse_align and FeatureSeries are the same events made dense, and segment()
+copies each window of a FeatureSeries.
 """
 
 from dataclasses import dataclass, replace
@@ -79,8 +81,9 @@ class EventSeries:
             )
 
     @property
-    def n_features(self) -> int:
-        return self.rows.shape[1]
+    def shape(self) -> tuple[int, int]:
+        """(n_samples, n_features), the shape of the dense series these events stand for."""
+        return self.n_samples, self.rows.shape[1]
 
     def window(self, start: int, n: int) -> "EventSeries":
         """The n samples from start on, as events of their own grid; the rows are not copied."""
@@ -90,9 +93,9 @@ class EventSeries:
 
 @dataclass
 class Segment:
-    """One analysis window: stimulus block x and response block y."""
+    """One analysis window: its own stimulus block x and response block y."""
 
-    x: np.ndarray | None  # (window_samples, n_features); None in a set with a stimulus
+    x: np.ndarray | EventSeries  # (window_samples, n_features), dense or as events
     y: np.ndarray  # (window_samples, n_channels)
     start: int  # sample index of the window start in the source recording
 
@@ -106,7 +109,6 @@ class SegmentSet:
     hop_samples: int
     fs_hz: float
     channel_names: list[str]
-    stimulus: EventSeries | None = None  # each segment's stimulus is its window of this
 
     def __post_init__(self):
         if self.hop_samples > self.window_samples:
@@ -114,8 +116,7 @@ class SegmentSet:
                 f"hop ({self.hop_samples}) exceeds window ({self.window_samples})"
             )
         for k, seg in enumerate(self.segments):
-            x_rows = seg.x.shape[0] if self.stimulus is None else self.window_samples
-            if x_rows != self.window_samples or seg.y.shape[0] != self.window_samples:
+            if seg.x.shape[0] != self.window_samples or seg.y.shape[0] != self.window_samples:
                 raise PreconditionError(f"segment {k} does not span {self.window_samples} samples")
 
     def __len__(self) -> int:
@@ -123,8 +124,6 @@ class SegmentSet:
 
     @property
     def n_features(self) -> int:
-        if self.stimulus is not None:
-            return self.stimulus.n_features
         return self.segments[0].x.shape[1] if self.segments else 0
 
     @property
@@ -133,12 +132,6 @@ class SegmentSet:
 
     def subset(self, indices) -> "SegmentSet":
         return replace(self, segments=[self.segments[i] for i in indices])
-
-    def windows(self, indices) -> list:
-        """The stimulus of the given segments, in order: each one's x, or its event window."""
-        if self.stimulus is None:
-            return [self.segments[i].x for i in indices]
-        return [self.stimulus.window(self.segments[i].start, self.window_samples) for i in indices]
 
 
 def zscore_channels(rec: EegRecording) -> EegRecording:
@@ -207,7 +200,7 @@ def align_events(seq: WordEventSequence, fs_hz: float, n_samples: int) -> EventS
 def impulse_align(seq: WordEventSequence, fs_hz: float, n_samples: int) -> FeatureSeries:
     """The events of align_events as a dense impulse train, samples x features."""
     events = align_events(seq, fs_hz, n_samples)
-    out = np.zeros((n_samples, events.n_features))
+    out = np.zeros(events.shape)
     out[events.samples] = events.rows
     return FeatureSeries(data=out, fs_hz=fs_hz)
 
@@ -216,8 +209,8 @@ def segment(x, y: EegRecording, window_s: float, overlap_frac: float) -> Segment
     """Cut aligned stimulus/response into fixed windows, temporal order.
 
     window_samples = round(window_s * fs); hop = round(window * (1 - overlap)).
-    A trailing partial window is dropped. A FeatureSeries x is copied into each
-    window; an EventSeries x becomes the set's stimulus, and is not copied.
+    A trailing partial window is dropped. Each window of a FeatureSeries x is a
+    copy of its rows; each window of an EventSeries x is its EventSeries.window.
     """
     if x.fs_hz != y.fs_hz:
         raise PreconditionError(f"sampling rates differ: x {x.fs_hz} vs y {y.fs_hz}")
@@ -239,13 +232,13 @@ def segment(x, y: EegRecording, window_s: float, overlap_frac: float) -> Segment
         raise PreconditionError(
             f"window {window} with overlap {overlap_frac} yields an empty hop"
         )
-    events = x if isinstance(x, EventSeries) else None
+    events = isinstance(x, EventSeries)
     yt = y.data.T  # samples x channels
     segments = []
     for start in range(0, x.n_samples - window + 1, hop):
         segments.append(
             Segment(
-                x=None if events is not None else x.data[start : start + window].copy(),
+                x=x.window(start, window) if events else x.data[start : start + window].copy(),
                 y=yt[start : start + window].copy(),
                 start=start,
             )
@@ -256,5 +249,4 @@ def segment(x, y: EegRecording, window_s: float, overlap_frac: float) -> Segment
         hop_samples=hop,
         fs_hz=x.fs_hz,
         channel_names=list(y.channel_names),
-        stimulus=events,
     )

@@ -9,11 +9,12 @@ objective.
 
 Cross-validation, the closed-form fit and evaluation share one path for
 the sufficient statistics: each segment set (a fold, the training set,
-the test set) is one call of lagged_design.build_windows_csr on the set's
-windows. X^T Y is a sparse product, and X^T X is formed by fixed-width
-column blocks of it, so no P x P sparse product is made. The iterative
-solver works on the dense design: each kept fold design writes its own row
-block of one training array.
+the test set) is one call of lagged_design.build_windows_csr on its
+segments' own stimulus windows, their x. X^T Y is a sparse product,
+and X^T X is formed by fixed-width column blocks of it, so no P x P
+sparse product is made. The iterative solver works on the dense
+design: each kept fold design writes its own row block of one
+training array.
 
 Closed-form cross-validation holds one Fortran P x P buffer for the whole
 search: its strict upper triangle and a copy of its diagonal keep the Gram
@@ -431,7 +432,7 @@ def pick_best_lambda(grid, mean_scores) -> float:
 
 def _sparse_stack(segments: SegmentSet, indices, spec: LagSpec):
     """CSR design and response of the given segments, stacked in order by one build."""
-    X = build_windows_csr(segments.windows(indices), spec)
+    X = build_windows_csr([segments.segments[i].x for i in indices], spec)
     return X, _stacked_response(segments, indices)
 
 

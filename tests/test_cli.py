@@ -24,7 +24,7 @@ from trfkit.cli import (
 from trfkit.errors import ConfigError, PreconditionError, ValidationError
 from trfkit.lagged_design import build_windows_csr
 from trfkit.lda_reduce import ComponentClampWarning
-from trfkit.preprocess import FeatureSeries, Segment, SegmentSet, segment
+from trfkit.preprocess import EventSeries, FeatureSeries, Segment, SegmentSet, segment
 from trfkit.ridge_trf import cross_validate, read_trf
 from trfkit.tensorio import EegRecording, read_eeg, read_tensor, read_word_events, write_tensor
 
@@ -1134,8 +1134,8 @@ def test_fit_and_evaluate_build_no_dense_stimulus(tmp_path, monkeypatch):
     assert _run("fit", "--config", str(config)) == 0
     assert _run("evaluate", "--config", str(config)) == 0
     (train,) = fitted
-    # every window is an index range of the one event stimulus: it holds its response alone
-    assert train.stimulus is not None and train.n_features == 3
+    # every window's stimulus is its events: it holds its response alone as an array
+    assert all(isinstance(seg.x, EventSeries) for seg in train.segments) and train.n_features == 3
     assert all(
         [k for k, v in vars(seg).items() if isinstance(v, np.ndarray)] == ["y"] for seg in train.segments
     )

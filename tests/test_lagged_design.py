@@ -13,7 +13,7 @@ from trfkit.lagged_design import (
     build_windows_csr,
     lag_range_to_samples,
 )
-from trfkit.preprocess import FeatureSeries, align_events
+from trfkit.preprocess import EventSeries, FeatureSeries, align_events
 from trfkit.tensorio import WordEvent, WordEventSequence
 
 
@@ -266,6 +266,18 @@ def test_one_build_of_a_window_set_equals_per_window_builds_stacked(
 def test_windows_build_refuses_windows_that_differ_or_are_not_2d(windows):
     with pytest.raises(PreconditionError):
         build_windows_csr(windows, _spec([0, 1]))
+
+
+def test_event_windows_at_another_rate_are_refused_as_feature_series_are():
+    spec = lag_range_to_samples(0.0, 0.05, 100.0)
+    message = "sampling rates differ: series 128.0 vs lag spec 100.0"
+    with pytest.raises(PreconditionError, match=message):
+        build_lagged_csr(FeatureSeries(np.ones((20, 1)), fs_hz=128.0), spec)
+    window = EventSeries(samples=[2, 7], rows=[[1.0], [2.0]], n_samples=20, fs_hz=128.0)
+    with pytest.raises(PreconditionError, match=message):
+        build_windows_csr([np.ones((20, 1)), window], spec)
+    # a dense array carries no rate
+    assert build_windows_csr([np.ones((20, 1))], spec).shape == (20, 6)
 
 
 def test_a_dense_window_set_builds_in_little_more_than_two_designs():

@@ -16,8 +16,22 @@ from trfkit.errors import (
     SingularSystemError,
     ValidationError,
 )
-from trfkit.lagged_design import LagSpec, build_lagged_csr, build_lagged_matrix, build_windows_csr
-from trfkit.preprocess import FeatureSeries, Segment, SegmentSet
+from trfkit.lagged_design import (
+    LagSpec,
+    build_lagged_csr,
+    build_lagged_matrix,
+    build_windows_csr,
+    lag_range_to_samples,
+)
+from trfkit.preprocess import (
+    EventSeries,
+    FeatureSeries,
+    Segment,
+    SegmentSet,
+    align_events,
+    impulse_align,
+    segment,
+)
 from trfkit.ridge_trf import (
     CvReport,
     _apply_q,
@@ -40,8 +54,8 @@ from trfkit.ridge_trf import (
     write_trf,
 )
 from trfkit._util import scaled_columns
-from trfkit.stats_eval import mean_channel_r
-from trfkit.tensorio import write_tensor
+from trfkit.stats_eval import evaluate_subject, mean_channel_r
+from trfkit.tensorio import EegRecording, WordEvent, WordEventSequence, write_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +552,62 @@ def _segments(seed=0, n_segments=12, n=80, d=2, e=2, fs=100.0, lags=(0, 4), dens
     )
 
 
+def _word_segments(seed, align, seconds=40.0, fs=50.0, rate=6.0, d=3, e=4):
+    """Words at `rate` per second and the recording they drive, windowed from align's stimulus.
+
+    The onsets are uniform draws, so some words land on one sample. Returns the
+    segment set, the lag spec and the words.
+    """
+    rng = np.random.default_rng(seed)
+    n, count = int(seconds * fs), int(rate * seconds)
+    onsets = np.sort(rng.uniform(0.0, seconds - 1.0 / fs, size=count))
+    vectors = rng.normal(size=(count, d))
+    words = WordEventSequence(
+        [WordEvent(f"w{k}", float(t), v) for k, (t, v) in enumerate(zip(onsets, vectors))], dim=d
+    )
+    spec = lag_range_to_samples(-0.1, 0.4, fs)
+    X = build_lagged_matrix(impulse_align(words, fs, n), spec).data
+    y = X @ rng.normal(size=(X.shape[1], e)) + rng.normal(size=(n, e))
+    rec = EegRecording(data=y.T, fs_hz=fs, channel_names=[f"c{j}" for j in range(e)], subject_id="s")
+    return segment(align(words, fs, n), rec, window_s=2.0, overlap_frac=0.25), spec, words
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_event_windows_fit_and_score_bit_for_bit_as_dense_windows(seed):
+    events, spec, words = _word_segments(seed, align_events)
+    dense = _word_segments(seed, impulse_align)[0]
+    assert len(np.unique(words.onset_samples(50.0))) < len(words)  # some words share a sample
+    assert all(isinstance(s.x, EventSeries) for s in events.segments)
+    assert all(isinstance(s.x, np.ndarray) for s in dense.segments)
+    (train, test), (dense_train, dense_test) = (
+        (segs.subset(range(20)), segs.subset(range(20, len(segs)))) for segs in (events, dense)
+    )
+    grid = make_lambda_grid(1e-2, 1e3, 6)
+    rep, dense_rep = (cross_validate(t, spec, grid, k=4) for t in (train, dense_train))
+    assert _bits(rep.per_lambda_scores) == _bits(dense_rep.per_lambda_scores)
+    assert rep.best_lambda == dense_rep.best_lambda
+    fits = []
+    for t, r in ((train, rep), (dense_train, dense_rep)):
+        fits.append([fit_trf(t, spec, r.best_lambda, cv=r), fit_trf(t, spec, 7.0)])
+    for model, dense_model in zip(*fits):
+        assert _bits(flatten_trf(model)) == _bits(flatten_trf(dense_model))
+    scores = [
+        [c.r for c in evaluate_subject(fits[0][0], t, spec).channels] for t in (test, dense_test)
+    ]
+    assert _bits(scores[0]) == _bits(scores[1])
+    options = IterativeOptions(lr=1e-3, batch_size=32, tol=1e-8, max_epochs=3, seed=5)
+    iterative = [
+        cross_validate(t, spec, [0.1, 10.0], k=3, solver="iterative", iterative=options)
+        for t in (train, dense_train)
+    ]
+    assert _bits(iterative[0].per_lambda_scores) == _bits(iterative[1].per_lambda_scores)
+
+
 def test_cv_report_geometry_and_determinism():
     segs, spec = _segments()
     grid = make_lambda_grid(1e-2, 1e2, 5)
@@ -629,7 +699,8 @@ def test_iterative_cv_matches_dense_reference():
     assert rep.fold_assignment == [0, 0, 0, 1, 1, 2, 2]
 
 
-def test_iterative_cv_builds_each_window_design_once(monkeypatch):
+@pytest.mark.parametrize("events", [False, True], ids=["dense", "events"])
+def test_iterative_cv_builds_each_window_design_once(monkeypatch, events):
     import trfkit.ridge_trf as ridge_trf
 
     built = []
@@ -639,10 +710,13 @@ def test_iterative_cv_builds_each_window_design_once(monkeypatch):
         return build_windows_csr(windows, spec)
 
     monkeypatch.setattr(ridge_trf, "build_windows_csr", counting)
-    segs, spec = _segments(seed=4, n_segments=7, n=60, d=2, e=3, density=0.3)
+    if events:
+        segs, spec, _ = _word_segments(seed=4, align=align_events)
+    else:
+        segs, spec = _segments(seed=4, n_segments=7, n=60, d=2, e=3, density=0.3)
     options = IterativeOptions(lr=1e-3, batch_size=16, tol=1e-8, max_epochs=2, seed=2)
     cross_validate(segs, spec, [0.1, 3.0], k=3, solver="iterative", iterative=options)
-    # one build per fold, and the folds' windows, in order, are every window once
+    # one build per fold, and the folds' windows, in order, are the segments' own x, once each
     assert len(built) == 3
     assert [id(w) for windows in built for w in windows] == [id(s.x) for s in segs.segments]
 
