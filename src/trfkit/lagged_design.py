@@ -138,9 +138,9 @@ def build_windows_csr(windows, spec: LagSpec) -> "scipy.sparse.csr_array":
     return scipy.sparse.csc_array(_lagged_csc(events, spec.lag_samples), shape=shape).tocsr()
 
 
-def _check_rate(fs_hz: float, spec: LagSpec) -> None:
+def _check_rate(fs_hz: float, spec: LagSpec, what: str = "series") -> None:
     if fs_hz != spec.fs_hz:
-        raise PreconditionError(f"sampling rates differ: series {fs_hz} vs lag spec {spec.fs_hz}")
+        raise PreconditionError(f"sampling rates differ: {what} {fs_hz} vs lag spec {spec.fs_hz}")
 
 
 def _window_events(window, spec: LagSpec) -> tuple:

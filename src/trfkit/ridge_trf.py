@@ -12,9 +12,9 @@ the sufficient statistics: each segment set (a fold, the training set,
 the test set) is one call of lagged_design.build_windows_csr on its
 segments' own stimulus windows, their x. X^T Y is a sparse product,
 and X^T X is formed by fixed-width column blocks of it, so no P x P
-sparse product is made. The iterative solver works on the dense
-design: each kept fold design writes its own row block of one
-training array.
+sparse product is made. The iterative solver works on a dense design:
+in cross-validation the other folds' kept designs stacked and made
+dense, and each penalty is fitted only when its score is taken.
 
 Closed-form cross-validation holds one Fortran P x P buffer for the whole
 search: its strict upper triangle and a copy of its diagonal keep the Gram
@@ -52,7 +52,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .lagged_design import DesignMatrix, LagSpec, build_windows_csr
+from .lagged_design import DesignMatrix, LagSpec, _check_rate, build_windows_csr
 from .preprocess import SegmentSet
 from .tensorio import _read_checked, write_tensor
 
@@ -441,20 +441,10 @@ def _stacked_response(segments: SegmentSet, indices) -> np.ndarray:
     return np.concatenate([segments.segments[i].y for i in indices])
 
 
-def _dense_rows(stacks):
-    """One dense design and response from (CSR design, response) pairs, stacked in order."""
-    xs, ys = zip(*stacks)
-    X_all = np.empty((sum(X.shape[0] for X in xs), xs[0].shape[1]))
-    row = 0
-    for X in xs:  # each design zeroes its own row block, then writes its entries there
-        X.toarray(out=X_all[row : row + X.shape[0]])
-        row += X.shape[0]
-    return X_all, np.concatenate(ys, axis=0)
-
-
 def _stack_segments(segments: SegmentSet, indices, spec: LagSpec):
-    """Dense design and response of the given segments, stacked in order."""
-    return _dense_rows([_sparse_stack(segments, indices, spec)])
+    """Dense design and response of the given segments: _sparse_stack made dense."""
+    X, Y = _sparse_stack(segments, indices, spec)
+    return X.toarray(), Y
 
 
 def _column_blocks(P: int) -> list:
@@ -568,13 +558,14 @@ def cross_validate(
     fold_assignment = [fi for fi, idx in enumerate(folds) for _ in idx]
     scores = np.empty((len(grid), k))
     if solver == "iterative":
+        import scipy.sparse
+
         stacks = [_sparse_stack(segments, idx, spec) for idx in folds]
         for fi, (X_val, Y_val) in enumerate(stacks):
-            X_train, Y_train = _dense_rows(st for fj, st in enumerate(stacks) if fj != fi)
-            fits = [fit_iterative(X_train, Y_train, lam, **asdict(iterative)) for lam in grid]
-            scores[:, fi] = _penalty_scores(
-                X_val, scaled_columns(Y_val), [fit.weights for fit in fits]
-            )
+            xs, ys = zip(*(st for fj, st in enumerate(stacks) if fj != fi))
+            X_train, Y_train = scipy.sparse.vstack(xs).toarray(), np.concatenate(ys)
+            fits = (fit_iterative(X_train, Y_train, lam, **asdict(iterative)).weights for lam in grid)
+            scores[:, fi] = _penalty_scores(X_val, scaled_columns(Y_val), fits)
         return CvReport(
             grid=grid,
             per_lambda_scores=scores,
@@ -620,10 +611,7 @@ def cross_validate(
 
 def _check_design(segments: SegmentSet, spec: LagSpec) -> None:
     """Refuse another sampling rate, or a design wider than MAX_DESIGN_COLUMNS, before a build."""
-    if spec.fs_hz != segments.fs_hz:
-        raise PreconditionError(
-            f"sampling rates differ: segments {segments.fs_hz} vs lag spec {spec.fs_hz}"
-        )
+    _check_rate(segments.fs_hz, spec, "segments")
     n_features = segments.n_features
     P = n_features * spec.n_lags
     if P > MAX_DESIGN_COLUMNS:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import correlate, scale_columns_in_place, scaled_columns
 from .errors import PreconditionError, ValidationError
-from .lagged_design import LagSpec
+from .lagged_design import LagSpec, _check_rate
 from .preprocess import SegmentSet
 from .ridge_trf import TrfModel, _sparse_stack, flatten_trf
 from .tensorio import ChannelLayout
@@ -171,10 +171,7 @@ def evaluate_subject(
         raise PreconditionError("test segment set is empty")
     if spec.lag_samples != trf.lag_spec.lag_samples or spec.fs_hz != trf.lag_spec.fs_hz:
         raise PreconditionError("lag spec does not match the fitted kernel")
-    if test_segments.fs_hz != spec.fs_hz:
-        raise PreconditionError(
-            f"sampling rates differ: segments {test_segments.fs_hz} vs lag spec {spec.fs_hz}"
-        )
+    _check_rate(test_segments.fs_hz, spec, "segments")
     if list(test_segments.channel_names) != list(trf.channel_names):
         raise PreconditionError(
             f"segment channels {test_segments.channel_names} do not match "

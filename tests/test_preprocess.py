@@ -7,6 +7,7 @@ from trfkit.errors import DegenerateDataError, PreconditionError
 from trfkit.preprocess import (
     EventSeries,
     FeatureSeries,
+    align_events,
     impulse_align,
     segment,
     zscore_channels,
@@ -198,6 +199,29 @@ def test_event_series_refuses_samples_a_design_cannot_index(samples, rows):
     with pytest.raises(PreconditionError, match="increasing in \\[0, 20\\)"):
         EventSeries(samples, np.ones(rows), n_samples=20, fs_hz=100.0)
     assert EventSeries([3, 7], np.ones((2, 2)), n_samples=20, fs_hz=100.0).samples.dtype == np.int64
+
+
+def test_windows_cut_from_checked_events_are_not_checked_again(monkeypatch):
+    # the long_story grid: 180 s at 100 Hz in 2 s windows with 10 % overlap, 99 windows
+    rng = np.random.default_rng(1)
+    onsets = np.sort(rng.uniform(0.0, 179.0, size=360))
+    events = align_events(_seq([(t, rng.normal(size=9)) for t in onsets], dim=9), 100.0, 18_000)
+    dense = np.zeros(events.shape)
+    dense[events.samples] = events.rows
+    calls = []
+    checked = EventSeries.__post_init__
+    monkeypatch.setattr(EventSeries, "__post_init__", lambda self: calls.append(1) or checked(self))
+    segs = segment(events, _rec(np.ones((32, 18_000))), window_s=2.0, overlap_frac=0.1)
+    assert len(segs) == 99
+    assert calls == []
+    for seg in segs.segments:  # each window passes the check it skipped, and holds its samples
+        w = seg.x
+        EventSeries(w.samples, w.rows, n_samples=w.n_samples, fs_hz=w.fs_hz)
+        window = np.zeros(w.shape)
+        window[w.samples] = w.rows
+        assert np.array_equal(window, dense[seg.start : seg.start + 200])
+        assert np.shares_memory(w.rows, events.rows) or len(w.rows) == 0
+    assert len(calls) == 99
 
 
 # ---------------------------------------------------------------------------

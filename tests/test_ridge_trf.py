@@ -721,6 +721,53 @@ def test_iterative_cv_builds_each_window_design_once(monkeypatch, events):
     assert [id(w) for windows in built for w in windows] == [id(s.x) for s in segs.segments]
 
 
+@pytest.mark.parametrize("events", [False, True], ids=["dense", "events"])
+def test_iterative_cv_trains_each_fold_on_the_other_folds_stacked(monkeypatch, events):
+    import trfkit.ridge_trf as ridge_trf
+
+    seen = []
+
+    def capturing(X, Y, lam, **options):
+        seen.append((_bits(X), _bits(Y)))
+        return fit_iterative(X, Y, lam, **options)
+
+    monkeypatch.setattr(ridge_trf, "fit_iterative", capturing)
+    if events:
+        segs, spec, _ = _word_segments(seed=4, align=align_events)
+    else:
+        segs, spec = _segments(seed=4, n_segments=7, n=60, d=2, e=3, density=0.3)
+    grid = [0.1, 3.0]
+    options = IterativeOptions(lr=1e-3, batch_size=16, tol=1e-8, max_epochs=2, seed=2)
+    cross_validate(segs, spec, grid, k=3, solver="iterative", iterative=options)
+    want = []
+    for idx in np.array_split(np.arange(len(segs)), 3):
+        X, Y = ridge_trf._stack_segments(segs, [i for i in range(len(segs)) if i not in idx], spec)
+        want += [(_bits(X), _bits(Y))] * len(grid)
+    assert seen == want
+
+
+@pytest.mark.parametrize(
+    "call", ["cross_validate", "fit_trf", "evaluate_subject", "build_lagged_csr", "build_windows_csr"]
+)
+def test_every_rate_refusal_names_what_has_the_other_rate(call):
+    spec = _lag_spec(range(0, 5))
+    segs = _segments(n_segments=4, fs=128.0)[0]
+    trf = TrfModel(np.zeros((spec.n_lags, 2, 2)), spec, ["c0", "c1"], lam=1.0)
+    events = EventSeries(samples=[2, 7, 30], rows=np.ones((3, 2)), n_samples=40, fs_hz=128.0)
+    noun, refused = {
+        "cross_validate": ("segments", lambda: cross_validate(segs, spec, [1.0], k=2)),
+        "fit_trf": ("segments", lambda: fit_trf(segs, spec, 1.0)),
+        "evaluate_subject": ("segments", lambda: evaluate_subject(trf, segs, spec)),
+        "build_lagged_csr": (
+            "series", lambda: build_lagged_csr(FeatureSeries(np.ones((20, 2)), 128.0), spec)
+        ),
+        "build_windows_csr": ("series", lambda: build_windows_csr([events.window(5, 20)], spec)),
+    }[call]
+    with pytest.raises(PreconditionError) as refusal:
+        refused()
+    assert str(refusal.value) == f"sampling rates differ: {noun} 128.0 vs lag spec 100.0"
+
+
 @pytest.mark.parametrize("density", [0.02, 1.0], ids=["impulse_train", "gaussian"])
 def test_closed_form_cv_and_fit_match_dense_reference(density):
     segs, spec = _segments(seed=5, n_segments=10, n=120, d=3, e=3, lags=(-3, 8), density=density)
