@@ -17,8 +17,8 @@ def test_a_toy_tree_built_twice_compares_equal_and_a_flipped_byte_does_not(tmp_p
     identity = _identity()
     a, b, flipped = tmp_path / "a", tmp_path / "b", tmp_path / "flipped"
     for out in (a, b):
-        assert identity.main(["build", str(ROOT / "src"), str(out), "--trees", "toy"]) == 0
-    manifest = json.loads((a / "manifest.json").read_text(encoding="utf-8"))
+        manifest = identity.build(ROOT / "src", out, {"toy": identity.TOY})
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert [r["rc"] for r in manifest["commands"].values()] == [0, 0, 0]
     assert "toy/out/sub00_trf.btsr" in manifest["files"]
     assert identity.main(["compare", str(a), str(b)]) == 0

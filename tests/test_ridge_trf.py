@@ -746,6 +746,19 @@ def test_iterative_cv_trains_each_fold_on_the_other_folds_stacked(monkeypatch, e
     assert seen == want
 
 
+def test_iterative_cv_scores_each_penalty_before_fitting_the_next():
+    # fold 0 holds no stimulus, so its predictions are constant; 1e7 diverges at this lr
+    segs, spec = _segments(seed=5, n_segments=4, n=60, d=2, e=2)
+    for s in segs.segments[:2]:
+        s.x[:] = 0.0
+    options = IterativeOptions(lr=1e-3, batch_size=16, tol=1e-8, max_epochs=20, seed=0)
+    with pytest.raises(DivergenceError, match="reduce the learning rate"):
+        cross_validate(segs, spec, [1e7], k=2, solver="iterative", iterative=options)
+    # the small penalty's fold-0 score fails before the large penalty is fitted
+    with pytest.raises(DegenerateDataError, match="constant series"):
+        cross_validate(segs, spec, [0.1, 1e7], k=2, solver="iterative", iterative=options)
+
+
 @pytest.mark.parametrize(
     "call", ["cross_validate", "fit_trf", "evaluate_subject", "build_lagged_csr", "build_windows_csr"]
 )

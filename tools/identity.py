@@ -1,6 +1,6 @@
 """Output identity and error-line checks of a trfkit source tree against another.
 
-    python3 tools/identity.py build SRC OUT [--trees NAME ...]
+    python3 tools/identity.py build SRC OUT
     python3 tools/identity.py corrupt SRC OUT --cases N --seed S
     python3 tools/identity.py compare A B
 
@@ -101,7 +101,7 @@ TREES = {
     "corpus_lda_5301": _lda(5301, 12000, 60, 9),
     "lda_clamped": _lda(5302, 600, 20, 20),
 }
-# not in the default set: a tree small enough for a unit test
+# not in TREES: a tree small enough for a unit test
 TOY = _eeg(
     _merged(
         SMALL, {"lambda_grid": {"n": 3}, "folds": 2, "synth": {"duration_s": 12.0, "n_subjects": 1}}
@@ -160,13 +160,13 @@ def _build_tree(src: Path, tree: Path, spec: dict) -> dict:
     return {name: _run(src, tree, argv) for name, argv in spec["steps"]}
 
 
-def build(src: Path, out: Path, names: list) -> dict:
+def build(src: Path, out: Path, trees: dict) -> dict:
+    """Make each tree of trees, a dict of specs by name, under out/trees; their manifest."""
     _fresh(out)
-    trees = dict(TREES, toy=TOY)
     manifest = {"kind": "build", "files": {}, "commands": {}}
-    for name in names:
+    for name, spec in trees.items():
         print(f"build {name}", file=sys.stderr)
-        for step, record in _build_tree(src, out / "trees" / name, trees[name]).items():
+        for step, record in _build_tree(src, out / "trees" / name, spec).items():
             manifest["commands"][f"{name}/{step}"] = record
     manifest["files"] = digest_tree(out / "trees")
     return manifest
@@ -380,7 +380,6 @@ def main(argv=None) -> int:
     p = commands.add_parser("build", help="run the identity set of trees")
     p.add_argument("src", type=Path)
     p.add_argument("out", type=Path)
-    p.add_argument("--trees", nargs="+", default=list(TREES), choices=[*TREES, "toy"])
     p = commands.add_parser("corrupt", help="run seeded single-file corruptions of a fitted tree")
     p.add_argument("src", type=Path)
     p.add_argument("out", type=Path)
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
     if not (src / "trfkit").is_dir():
         raise SystemExit(f"{src} holds no trfkit package")
     if args.command == "build":
-        manifest = build(src, args.out, args.trees)
+        manifest = build(src, args.out, TREES)
     else:
         manifest = corrupt(src, args.out, args.cases, args.seed)
     text = json.dumps(manifest, indent=1, sort_keys=True)
